@@ -15,6 +15,7 @@ what makes truncated-Taylor evaluation of smooth functions terminate.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import AlgebraError, ParityError
@@ -84,6 +85,12 @@ def _sort_key(m, l):
     return (m.degree(), m.nu, bits)
 
 
+def ambient_dim(k, l, s):
+    """Number of monomials of total degree < s, without listing them: j odd
+    generators leave degree s-1-j to k even ones."""
+    return sum(comb(l, j) * comb(k + s - 1 - j, k) for j in range(min(l, s - 1) + 1))
+
+
 def _ambient_monomials(k, l, s):
     """All monomials of total degree < s, ascending in the monomial order."""
     out = []
@@ -93,18 +100,19 @@ def _ambient_monomials(k, l, s):
             for j in odd_combo:
                 mask |= 1 << j
             budget = s - 1 - odd_count
-            for nu in _exponents_up_to(k, budget):
+            for nu in exponents_up_to(k, budget):
                 out.append(Monomial(nu, mask))
     out.sort(key=lambda m: _sort_key(m, l))
     return out
 
 
-def _exponents_up_to(k, budget):
+def exponents_up_to(k, budget):
+    """Every k-tuple of non-negative exponents with sum <= budget, in lex order."""
     if k == 0:
         yield ()
         return
     for head in range(budget + 1):
-        for tail in _exponents_up_to(k - 1, budget - head):
+        for tail in exponents_up_to(k - 1, budget - head):
             yield (head,) + tail
 
 
@@ -115,7 +123,7 @@ def _monomials_of_degree(k, l, d):
             mask = 0
             for j in odd_combo:
                 mask |= 1 << j
-            for nu in _exponents_up_to(k, rest):
+            for nu in exponents_up_to(k, rest):
                 if sum(nu) == rest:
                     yield Monomial(nu, mask)
 
@@ -137,12 +145,13 @@ class SuperWeilAlgebra:
         self.k = k
         self.l = l
         self.s = s
-        self.ambient_basis = _ambient_monomials(k, l, s)
-        if len(self.ambient_basis) > MAX_AMBIENT_DIM:
+        ambient = ambient_dim(k, l, s)
+        if ambient > MAX_AMBIENT_DIM:
             raise AlgebraError(
-                f"ambient dimension {len(self.ambient_basis)} exceeds the "
+                f"ambient dimension {ambient} exceeds the "
                 f"dense-representation cap {MAX_AMBIENT_DIM}"
             )
+        self.ambient_basis = _ambient_monomials(k, l, s)
         self._ambient_index = {m: i for i, m in enumerate(self.ambient_basis)}
         if _pivots is None:
             ideal_rows, _pivots = rref_desc(
@@ -783,8 +792,8 @@ def make_morphism(source, target, even_images, odd_images, _validate=True):
     (ideal rows plus all monomials at the truncation degree); this is checked
     by evaluation at construction.
     """
-    even_images = [_as_element(target, v) for v in even_images]
-    odd_images = [_as_element(target, v) for v in odd_images]
+    even_images = [as_element(target, v) for v in even_images]
+    odd_images = [as_element(target, v) for v in odd_images]
     if len(even_images) != source.k or len(odd_images) != source.l:
         raise AlgebraError("generator image counts do not match the source")
     if source.field is not target.field:
@@ -818,10 +827,12 @@ def make_morphism(source, target, even_images, odd_images, _validate=True):
     return rho
 
 
-def _as_element(algebra, value):
+def as_element(algebra, value):
+    """``value`` as an element of ``algebra``: scalars are embedded, elements
+    of another algebra are rejected."""
     if isinstance(value, AlgebraElement):
         if value.algebra != algebra:
-            raise AlgebraError("image element lives in the wrong algebra")
+            raise AlgebraError(f"element {value!r} lives in the wrong algebra")
         return value
     return algebra.scalar(value)
 

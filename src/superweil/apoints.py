@@ -20,15 +20,17 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import expr as ex
-from .algebra import EVEN, ODD, ZERO, AlgebraElement, AlgebraMorphism, SuperWeilAlgebra
-from .errors import AlgebraError, EvaluationError, ParityError, RegionError
+from .algebra import EVEN, ODD, ZERO, AlgebraMorphism, SuperWeilAlgebra, as_element
+from .errors import AlgebraError, ParityError, RegionError
 from .superfunc import (
     Section,
     SuperDomain,
-    derive_expr_even,
     eval_expr_classical,
+    factorial_multi,
     indices_to_mask,
+    mixed_partial,
     normalize_components,
+    section,
 )
 
 
@@ -53,8 +55,8 @@ def make_apoint(domain, algebra, even_vals, odd_vals):
             f"need {domain.p} even and {domain.q} odd values, got "
             f"{len(even_vals)}|{len(odd_vals)}"
         )
-    even_vals = tuple(_coerce_val(algebra, v) for v in even_vals)
-    odd_vals = tuple(_coerce_val(algebra, v) for v in odd_vals)
+    even_vals = tuple(as_element(algebra, v) for v in even_vals)
+    odd_vals = tuple(as_element(algebra, v) for v in odd_vals)
     for v in even_vals:
         if v.parity() not in (EVEN, ZERO):
             raise ParityError("even coordinate value must be an even element")
@@ -64,14 +66,6 @@ def make_apoint(domain, algebra, even_vals, odd_vals):
     base = tuple(v.body() for v in even_vals)
     domain.require_contains(base, algebra.field)
     return APoint(domain, algebra, even_vals, odd_vals)
-
-
-def _coerce_val(algebra, v):
-    if isinstance(v, AlgebraElement):
-        if v.algebra != algebra:
-            raise AlgebraError("coordinate value lives in the wrong algebra")
-        return v
-    return algebra.scalar(v)
 
 
 def base_point(x: APoint):
@@ -120,29 +114,30 @@ def eval_ast(x: APoint, s: Section):
 
 
 def _eval_node(e, x):
-    algebra = x.algebra
-    if isinstance(e, ex.Const):
-        return algebra.scalar(e.value)
-    if isinstance(e, ex.EvenCoord):
-        return x.even_vals[e.i - 1]
-    if isinstance(e, ex.OddCoord):
-        return x.odd_vals[e.j - 1]
-    if isinstance(e, ex.Add):
-        return _eval_node(e.a, x) + _eval_node(e.b, x)
-    if isinstance(e, ex.Mul):
-        return _eval_node(e.a, x) * _eval_node(e.b, x)
-    if isinstance(e, ex.Neg):
-        return -_eval_node(e.a, x)
-    if isinstance(e, ex.ScalarMul):
-        return _eval_node(e.a, x).scale(e.c)
-    if isinstance(e, ex.IntPow):
-        return _eval_node(e.a, x) ** e.n
-    if isinstance(e, ex.Apply):
-        v = _eval_node(e.a, x)
-        if e.fn == "reciprocal":
-            return v.inverse()
-        return analytic_lift(e.fn, v)
-    raise EvaluationError(f"cannot evaluate node {e!r}")
+    def visit(n, *v):
+        if isinstance(n, ex.Const):
+            return x.algebra.scalar(n.value)
+        if isinstance(n, ex.EvenCoord):
+            return x.even_vals[n.i - 1]
+        if isinstance(n, ex.OddCoord):
+            return x.odd_vals[n.j - 1]
+        if isinstance(n, ex.Add):
+            return v[0] + v[1]
+        if isinstance(n, ex.Mul):
+            return v[0] * v[1]
+        if isinstance(n, ex.Neg):
+            return -v[0]
+        if isinstance(n, ex.ScalarMul):
+            return v[0].scale(n.c)
+        if isinstance(n, ex.IntPow):
+            return v[0] ** n.n
+        if isinstance(n, ex.Apply):
+            if n.fn == "reciprocal":
+                return v[0].inverse()
+            return analytic_lift(n.fn, v[0])
+        raise ex.unknown_node(n)
+
+    return ex.fold(e, visit)
 
 
 # -- formal Taylor evaluation -----------------------------------------------------
@@ -208,32 +203,14 @@ def eval_taylor(x: APoint, s: Section):
         odd_prod = odds.get(mask)
         if odd_prod is None:
             continue
-        derivs = {(0,) * x.domain.p: comp}
+        derivs = {}
         for nu in sorted(souls, key=sum):
-            expr_nu = _derivative_for(derivs, nu)
+            expr_nu = mixed_partial(derivs, comp, nu)
             value = eval_expr_classical(expr_nu, base, field)
             if field.is_zero(value):
                 continue
             coef = value / field.coerce(factorial_multi(nu))
             out = out + (souls[nu] * odd_prod).scale(coef)
-    return out
-
-
-def _derivative_for(derivs, nu):
-    cached = derivs.get(nu)
-    if cached is not None:
-        return cached
-    i = next(idx for idx, v in enumerate(nu) if v)
-    parent = tuple(v - 1 if idx == i else v for idx, v in enumerate(nu))
-    result = derive_expr_even(_derivative_for(derivs, parent), i + 1)
-    derivs[nu] = result
-    return result
-
-
-def factorial_multi(nu):
-    out = 1
-    for v in nu:
-        out *= factorial(v)
     return out
 
 
@@ -283,10 +260,8 @@ class DomainMorphism:
 def make_domain_morphism(source, target, pullbacks):
     pulls = []
     for k, pb in enumerate(pullbacks):
-        if isinstance(pb, str):
-            pb = Section(source, ex.parse_expr(pb, source.p, source.q))
-        elif isinstance(pb, ex.Expr):
-            pb = Section(source, pb)
+        if not isinstance(pb, Section):
+            pb = section(source, pb)
         if not pb.domain.same_dims(source):
             raise RegionError("pullback section lives on the wrong domain")
         want = EVEN if k < target.p else ODD
@@ -384,6 +359,6 @@ def embed_section_left(s: Section, v: SuperDomain):
 
 def embed_section_right(s: Section, u: SuperDomain):
     """View a section on V as a section on U x V."""
-    return Section(
-        product_domain(u, s.domain), ex.shift_coords(s.expr, u.p, u.q)
-    )
+    even_map = {i: ex.EvenCoord(i + u.p) for i in range(1, s.domain.p + 1)}
+    odd_map = {j: ex.OddCoord(j + u.q) for j in range(1, s.domain.q + 1)}
+    return Section(product_domain(u, s.domain), ex.substitute(s.expr, even_map, odd_map))

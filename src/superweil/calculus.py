@@ -12,19 +12,20 @@ nilpotent Taylor expansion and compares with the direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .algebra import (
     EVEN,
     ODD,
     ZERO,
+    AlgebraElement,
     Monomial,
     SuperWeilAlgebra,
+    as_element,
     make_super_dual_numbers,
     make_truncated,
     tensor,
 )
-from .apoints import APoint, eval_ast, make_apoint, soul_power_table
+from .apoints import APoint, eval_ast, make_apoint, odd_value_products, soul_power_table
 from .errors import AlgebraError, ParityError, RegionError
 from .fields import RATIONAL, Field, infer_field
 from .superfunc import (
@@ -33,6 +34,10 @@ from .superfunc import (
     derive_expr_even,
     derive_expr_odd,
     eval_classical,
+    factorial_multi,
+    indices_to_mask,
+    mask_to_indices,
+    mixed_partial,
 )
 
 
@@ -137,19 +142,9 @@ class Derivation:
 
 
 def make_derivation(at: APoint, f_even, f_odd, parity):
-    f_even = tuple(_coerce(at.algebra, c) for c in f_even)
-    f_odd = tuple(_coerce(at.algebra, c) for c in f_odd)
+    f_even = tuple(as_element(at.algebra, c) for c in f_even)
+    f_odd = tuple(as_element(at.algebra, c) for c in f_odd)
     return Derivation(at, f_even, f_odd, parity)
-
-
-def _coerce(algebra, v):
-    from .algebra import AlgebraElement
-
-    if isinstance(v, AlgebraElement):
-        if v.algebra != algebra:
-            raise AlgebraError("derivation coefficient lives in the wrong algebra")
-        return v
-    return algebra.scalar(v)
 
 
 def derivation_apply(d: Derivation, s: Section):
@@ -253,20 +248,7 @@ def pair_distribution(dist: Distribution, s: Section, field: Field = None):
 
 def symbolic_mixed_partial(s: Section, nu, indices):
     """d^nu (d^J s) with odd derivatives first (ascending), then even ones."""
-    e = s.expr
-    for j in indices:
-        e = derive_expr_odd(e, j)
-    for i, count in enumerate(nu, start=1):
-        for _ in range(count):
-            e = derive_expr_even(e, i)
-    return Section(s.domain, e)
-
-
-def factorial_multi(nu):
-    out = 1
-    for v in nu:
-        out *= factorial(v)
-    return out
+    return Section(s.domain, mixed_partial({}, s.expr, tuple(nu), tuple(indices)))
 
 
 def functional_through_point(omega, x: APoint, s: Section):
@@ -300,19 +282,17 @@ def transitivity_point(domain, a, b0, even_vals, odd_vals):
     return make_apoint(domain, prod, even_vals, odd_vals)
 
 
-def _split_tensor_element(v, a: SuperWeilAlgebra):
-    """Split v in A ⊗ B0 into (pure-A part, part with B0 exponents)."""
-    pure = {}
-    carrying = {}
-    for m, c in v.coeffs.items():
-        if any(m.nu[a.k :]):
-            carrying[m] = c
-        else:
-            pure[m] = c
-    T = v.algebra
-    from .algebra import AlgebraElement
-
-    return AlgebraElement(T, pure), AlgebraElement(T, carrying)
+def _split_tensor_elements(values, a: SuperWeilAlgebra):
+    """Split each v in A ⊗ B0 into its pure-A part and its part with B0
+    exponents; returns the two tuples."""
+    pure, carrying = [], []
+    for v in values:
+        inner, outer = {}, {}
+        for m, c in v.coeffs.items():
+            (outer if any(m.nu[a.k :]) else inner)[m] = c
+        pure.append(AlgebraElement(v.algebra, inner))
+        carrying.append(AlgebraElement(v.algebra, outer))
+    return tuple(pure), tuple(carrying)
 
 
 def check_transitivity(s: Section, x: APoint, a: SuperWeilAlgebra, b0: SuperWeilAlgebra):
@@ -332,31 +312,20 @@ def check_transitivity(s: Section, x: APoint, a: SuperWeilAlgebra, b0: SuperWeil
     field = prod.field
     direct = eval_ast(x, s)
 
-    inner_even, delta_even = [], []
-    for v in x.even_vals:
-        pure, carry = _split_tensor_element(v, a)
-        inner_even.append(pure)
-        delta_even.append(carry)
-    inner_odd, delta_odd = [], []
-    for v in x.odd_vals:
-        pure, carry = _split_tensor_element(v, a)
-        inner_odd.append(pure)
-        delta_odd.append(carry)
+    inner_even, delta_even = _split_tensor_elements(x.even_vals, a)
+    inner_odd, delta_odd = _split_tensor_elements(x.odd_vals, a)
     y = make_apoint(x.domain, prod, inner_even, inner_odd)
 
-    delta_point = APoint(x.domain, prod, tuple(delta_even), tuple(delta_odd))
+    delta_point = APoint(x.domain, prod, delta_even, delta_odd)
     soul_powers = soul_power_table(delta_point)  # delta_even are nilpotent and even
 
+    odd_products = odd_value_products(delta_point)
     staged = prod.zero()
     derivs = {}
-    for indices in _odd_subsets(delta_odd):
-        odd_prod = prod.one()
-        for j in indices:
-            odd_prod = odd_prod * delta_odd[j - 1]
-        if odd_prod.is_zero():
-            continue
+    for indices in sorted(map(mask_to_indices, odd_products), key=lambda c: (len(c), c)):
+        odd_prod = odd_products[indices_to_mask(indices)]
         for nu in sorted(soul_powers, key=sum):
-            expr_nu = _mixed_derivative(derivs, s, nu, indices)
+            expr_nu = mixed_partial(derivs, s.expr, nu, indices)
             inner_value = eval_ast(y, Section(s.domain, expr_nu))
             if inner_value.is_zero():
                 continue
@@ -366,30 +335,3 @@ def check_transitivity(s: Section, x: APoint, a: SuperWeilAlgebra, b0: SuperWeil
             term = odd_prod * inner_value * soul_powers[nu]
             staged = staged + term.scale(field.coerce(1) / field.coerce(factorial_multi(nu)))
     return (direct - staged).norm()
-
-
-def _odd_subsets(delta_odd):
-    nonzero = [j for j, v in enumerate(delta_odd, start=1) if not v.is_zero()]
-    out = [()]
-    for j in nonzero:
-        out += [combo + (j,) for combo in out]
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-def _mixed_derivative(cache, s, nu, indices):
-    key = (nu, indices)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    if any(nu):
-        i = next(idx for idx, v in enumerate(nu) if v)
-        parent = tuple(v - 1 if idx == i else v for idx, v in enumerate(nu))
-        result = derive_expr_even(_mixed_derivative(cache, s, parent, indices), i + 1)
-    elif indices:
-        result = derive_expr_odd(
-            _mixed_derivative(cache, s, nu, indices[:-1]), indices[-1]
-        )
-    else:
-        result = s.expr
-    cache[key] = result
-    return result

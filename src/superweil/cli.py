@@ -20,7 +20,6 @@ import sys
 from . import battery
 from . import expr as ex
 from .algebra import (
-    AlgebraElement,
     make_dual_numbers,
     make_grassmann,
     make_super_dual_numbers,
@@ -45,7 +44,7 @@ from .serialize import (
     coeff_map_to_json,
     series_from_json,
 )
-from .superfunc import Section, SuperDomain
+from .superfunc import SuperDomain, section
 
 
 def parse_algebra_spec(spec, field=RATIONAL, workspace=None):
@@ -114,108 +113,29 @@ def _consume_until(text, stops):
     return text, ""
 
 
-_ELEMENT_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+(?:/\d+)?)"
-    r"|(?P<gen>[tz]\d+)|(?P<op>[-+*^()]))"
-)
+class _ElementSemantics:
+    """Leaves of an element text: numbers in the algebra's field and the
+    generators t<i>, z<j>; no functions."""
+
+    functions = {}
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+
+    def number(self, text):
+        return self.algebra.scalar(self.algebra.field.parse(text))
+
+    def name(self, text):
+        m = re.fullmatch(r"([tz])(\d+)", text)
+        if not m:
+            raise ParseError(f"unknown element name {text!r}")
+        idx = int(m.group(2))
+        return self.algebra.gen_even(idx) if m.group(1) == "t" else self.algebra.gen_odd(idx)
 
 
 def parse_element(text, algebra):
     """Arithmetic over the algebra generators t1..tk, z1..zl and numbers."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _ELEMENT_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ParseError(f"bad element token at {tail[:12]!r}")
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("gen"):
-            tokens.append(("gen", m.group("gen")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", ""))
-    return _ElementParser(tokens, algebra).parse()
-
-
-class _ElementParser:
-    def __init__(self, tokens, algebra):
-        self.tokens = tokens
-        self.pos = 0
-        self.algebra = algebra
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def parse(self):
-        v = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing element input {self.peek()[1]!r}")
-        return v
-
-    def expr(self):
-        kind, val = self.peek()
-        negate = kind == "op" and val == "-"
-        if negate:
-            self.take()
-        v = self.term()
-        if negate:
-            v = -v
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                v = v + rhs if val == "+" else v - rhs
-            else:
-                return v
-
-    def term(self):
-        v = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                v = v * self.factor()
-            else:
-                return v
-
-    def factor(self):
-        v = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val = self.take()
-            if kind != "num" or not val.isdigit():
-                raise ParseError("element exponent must be a non-negative integer")
-            v = v ** int(val)
-        return v
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return self.algebra.scalar(self.algebra.field.parse(val))
-        if kind == "gen":
-            idx = int(val[1:])
-            if val[0] == "t":
-                return self.algebra.gen_even(idx)
-            return self.algebra.gen_odd(idx)
-        if kind == "op" and val == "(":
-            v = self.expr()
-            kind, val = self.take()
-            if (kind, val) != ("op", ")"):
-                raise ParseError("unbalanced parentheses in element")
-            return v
-        raise ParseError(f"unexpected element token {val!r}")
+    return ex.parse(text, _ElementSemantics(algebra))
 
 
 _ASSIGN = re.compile(r"\s*(x|th)(\d+)\s*=\s*")
@@ -225,30 +145,15 @@ def parse_point_spec(text, algebra):
     """Assignments "x1=..., th1=..." with element expressions on the right."""
     even = {}
     odd = {}
-    pos = 0
-    while pos < len(text):
-        m = _ASSIGN.match(text, pos)
+    rest = text
+    while rest:
+        m = _ASSIGN.match(rest)
         if not m:
-            raise ParseError(f"bad point assignment near {text[pos:pos + 16]!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        pos = m.end()
-        depth = 0
-        end = pos
-        while end < len(text):
-            ch = text[end]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                break
-            end += 1
-        value = parse_element(text[pos:end], algebra)
-        if kind == "x":
-            even[idx] = value
-        else:
-            odd[idx] = value
-        pos = end + 1 if end < len(text) else end
+            raise ParseError(f"bad point assignment near {rest[:16]!r}")
+        value, rest = _consume_until(rest[m.end() :], ",")
+        slots = even if m.group(1) == "x" else odd
+        slots[int(m.group(2))] = parse_element(value, algebra)
+        rest = rest[1:]
     p = max(even, default=0)
     q = max(odd, default=0)
     if sorted(even) != list(range(1, p + 1)) or sorted(odd) != list(range(1, q + 1)):
@@ -267,10 +172,6 @@ def parse_scalar_tuple(text, field):
 
 def _emit(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
-
-
-def element_json(v: AlgebraElement):
-    return coeff_map_to_json(v)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -300,17 +201,16 @@ def cmd_eval(args):
     ws = _load_workspace(args)
     algebra = parse_algebra_spec(args.algebra, field, ws)
     even_vals, odd_vals = parse_point_spec(args.point, algebra)
-    p, q = len(even_vals), len(odd_vals)
     if args.section.startswith("@"):
         if ws is None or args.section[1:] not in ws.sections:
             raise ParseError(f"section {args.section!r} is not in the workspace")
         s = ws.sections[args.section[1:]]
         domain = s.domain
     else:
-        domain = SuperDomain(p, q)
-        s = Section(domain, ex.parse_expr(args.section, p, q))
+        domain = SuperDomain(len(even_vals), len(odd_vals))
+        s = section(domain, args.section)
     x = make_apoint(domain, algebra, even_vals, odd_vals)
-    _emit(element_json(eval_ast(x, s)))
+    _emit(coeff_map_to_json(eval_ast(x, s)))
     return 0
 
 
@@ -323,7 +223,7 @@ def cmd_tangent(args):
     if len(v_even) != p:
         raise ParseError("--vE must have one component per base coordinate")
     domain = SuperDomain(p, q)
-    s = Section(domain, ex.parse_expr(args.section, p, q))
+    s = section(domain, args.section)
     value, d_even, d_odd = tangent_eval(s, TangentVector(domain, base, v_even, v_odd), field)
     out = {"value": field.to_json(value), "d": field.to_json(d_even)}
     if q:
@@ -338,13 +238,14 @@ def cmd_dist(args):
     coeff_entries = json.loads(args.coeffs)
     coeffs = {}
     for entry in coeff_entries:
+        if not isinstance(entry, dict) or not {"nu", "a"} <= entry.keys():
+            raise ParseError(f'every --coeffs entry needs "nu" and "a", got {entry!r}')
         key = (tuple(entry["nu"]), tuple(entry.get("J", ())))
         coeffs[key] = field.parse(str(entry["a"]))
     q = max((max(j for j in indices) for (_, indices) in coeffs if indices), default=0)
-    p = len(base)
-    domain = SuperDomain(p, max(q, args.odd_dim))
+    domain = SuperDomain(len(base), max(q, args.odd_dim))
     dist = make_distribution(domain, base, args.order, coeffs)
-    s = Section(domain, ex.parse_expr(args.section, domain.p, domain.q))
+    s = section(domain, args.section)
     _emit({"pairing": field.to_json(pair_distribution(dist, s, field))})
     return 0
 
@@ -372,7 +273,7 @@ def cmd_check_trans(args):
     even_vals, odd_vals = parse_point_spec(args.coords, prod)
     domain = SuperDomain(len(even_vals), len(odd_vals))
     x = make_apoint(domain, prod, even_vals, odd_vals)
-    s = Section(domain, ex.parse_expr(args.section, domain.p, domain.q))
+    s = section(domain, args.section)
     residual = check_transitivity(s, x, a, b0)
     _emit({"residual": float(residual)})
     return 0
@@ -464,10 +365,7 @@ def main(argv=None):
         args.seed = int(os.environ.get("SUPERWEIL_SEED", "0"))
     try:
         return args.func(args)
-    except SuperWeilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SuperWeilError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

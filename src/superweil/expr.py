@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParityError, ParseError
 from .fields import ANALYTIC_FUNCTIONS
 
 EVEN, ODD, MIXED = "even", "odd", "mixed"
 
-_TRANSCENDENTAL = ("exp", "log", "sin", "cos")
-
 
 class Expr:
-    """Base expression node.  Operators build trees with constant folding."""
+    """Base expression node.  Operators build trees with constant folding.
+
+    A node has ``arity`` children, ``a`` then ``b``; :func:`fold` is the one
+    walk over them.
+    """
 
     __slots__ = ("parity",)
+    arity = 0
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -90,6 +94,7 @@ class Const(Expr):
 
 class Add(Expr):
     __slots__ = ("a", "b")
+    arity = 2
 
     def __init__(self, a, b):
         self.a = a
@@ -99,6 +104,7 @@ class Add(Expr):
 
 class Mul(Expr):
     __slots__ = ("a", "b")
+    arity = 2
 
     def __init__(self, a, b):
         self.a = a
@@ -110,7 +116,8 @@ class Mul(Expr):
 
 
 class Neg(Expr):
-    __slots__ = ("a",)
+    __slots__ = ("a")
+    arity = 1
 
     def __init__(self, a):
         self.a = a
@@ -119,6 +126,7 @@ class Neg(Expr):
 
 class ScalarMul(Expr):
     __slots__ = ("c", "a")
+    arity = 1
 
     def __init__(self, c, a):
         if isinstance(c, int):
@@ -132,6 +140,7 @@ class Apply(Expr):
     """Analytic unary node: exp, log, sin, cos or reciprocal."""
 
     __slots__ = ("fn", "a")
+    arity = 1
 
     def __init__(self, fn, a):
         if fn not in ANALYTIC_FUNCTIONS:
@@ -145,6 +154,7 @@ class Apply(Expr):
 
 class IntPow(Expr):
     __slots__ = ("a", "n")
+    arity = 1
 
     def __init__(self, a, n):
         if not isinstance(n, int) or n < 0:
@@ -193,10 +203,6 @@ def neg(a):
     return Neg(a)
 
 
-def sub(a, b):
-    return add(a, neg(b))
-
-
 def mul(a, b):
     if is_zero_const(a) or is_zero_const(b):
         return ZERO
@@ -233,115 +239,115 @@ def int_pow(a, n):
     return IntPow(a, n)
 
 
-def apply_fn(fn, a):
-    return Apply(fn, a)
-
-
 def reciprocal(a):
     return Apply("reciprocal", a)
 
 
-def has_transcendental(e):
-    """Whether the tree contains exp/log/sin/cos (needs an inexact field)."""
-    if isinstance(e, Apply):
-        return e.fn in _TRANSCENDENTAL or has_transcendental(e.a)
-    return any(has_transcendental(c) for c in _children(e))
+# -- the one traversal ---------------------------------------------------------
 
 
-def is_polynomial(e):
-    if isinstance(e, Apply):
-        return False
-    return all(is_polynomial(c) for c in _children(e))
+def fold(e, visit):
+    """``visit(node, *child results)`` at every node of ``e``, children first,
+    left to right; returns the result at ``e``.
+
+    Results at inner nodes are memoized by node identity for this call only,
+    so a shared subterm is visited once and a DAG costs its number of
+    distinct nodes, not the size of the tree it unfolds to.  Leaves are
+    cheap and are visited at each occurrence.
+    """
+    if not e.arity:
+        return visit(e)
+    # a module-level helper, not a closure: a self-referencing closure would
+    # be a reference cycle that keeps the memo alive until a GC pass
+    return _fold(e, visit, {})
 
 
-def _children(e):
-    if isinstance(e, (Add, Mul)):
-        return (e.a, e.b)
-    if isinstance(e, (Neg, ScalarMul, Apply, IntPow)):
-        return (e.a,)
-    return ()
+def _fold(node, visit, done):
+    arity = node.arity
+    if not arity:
+        return visit(node)
+    key = id(node)
+    if key in done:
+        return done[key]
+    if arity == 1:
+        out = visit(node, _fold(node.a, visit, done))
+    else:
+        out = visit(node, _fold(node.a, visit, done), _fold(node.b, visit, done))
+    done[key] = out
+    return out
+
+
+def unknown_node(node):
+    return ParseError(f"unknown expression node {type(node).__name__}")
 
 
 def _struct_key(e):
-    if isinstance(e, Const):
-        return ("const", e.value)
-    if isinstance(e, EvenCoord):
-        return ("x", e.i)
-    if isinstance(e, OddCoord):
-        return ("theta", e.j)
-    if isinstance(e, Add):
-        return ("add", _struct_key(e.a), _struct_key(e.b))
-    if isinstance(e, Mul):
-        return ("mul", _struct_key(e.a), _struct_key(e.b))
-    if isinstance(e, Neg):
-        return ("neg", _struct_key(e.a))
-    if isinstance(e, ScalarMul):
-        return ("scalarmul", e.c, _struct_key(e.a))
-    if isinstance(e, IntPow):
-        return ("intpow", e.n, _struct_key(e.a))
-    if isinstance(e, Apply):
-        return (e.fn, _struct_key(e.a))
-    raise ParseError(f"unknown node {e!r}")
+    return fold(e, _key_of)
+
+
+def _key_of(n, *keys):
+    if isinstance(n, Const):
+        return ("const", n.value)
+    if isinstance(n, EvenCoord):
+        return ("x", n.i)
+    if isinstance(n, OddCoord):
+        return ("theta", n.j)
+    if isinstance(n, Add):
+        return ("add", *keys)
+    if isinstance(n, Mul):
+        return ("mul", *keys)
+    if isinstance(n, Neg):
+        return ("neg", *keys)
+    if isinstance(n, ScalarMul):
+        return ("scalarmul", n.c, *keys)
+    if isinstance(n, IntPow):
+        return ("intpow", n.n, *keys)
+    if isinstance(n, Apply):
+        return (n.fn, *keys)
+    raise unknown_node(n)
 
 
 def max_indices(e):
     """Largest even and odd coordinate indices used by the tree."""
-    if isinstance(e, EvenCoord):
-        return e.i, 0
-    if isinstance(e, OddCoord):
-        return 0, e.j
-    p = q = 0
-    for c in _children(e):
-        cp, cq = max_indices(c)
-        p = max(p, cp)
-        q = max(q, cq)
-    return p, q
+    return fold(e, _max_indices_of)
+
+
+def _max_indices_of(n, *kids):
+    if isinstance(n, EvenCoord):
+        return n.i, 0
+    if isinstance(n, OddCoord):
+        return 0, n.j
+    if len(kids) == 2:
+        (pa, qa), (pb, qb) = kids
+        return max(pa, pb), max(qa, qb)
+    return kids[0] if kids else (0, 0)
 
 
 def substitute(e, even_map, odd_map):
     """Replace coordinates by expressions (parity is re-checked on rebuild)."""
-    if isinstance(e, EvenCoord):
-        return even_map[e.i]
-    if isinstance(e, OddCoord):
-        return odd_map[e.j]
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return add(substitute(e.a, even_map, odd_map), substitute(e.b, even_map, odd_map))
-    if isinstance(e, Mul):
-        return mul(substitute(e.a, even_map, odd_map), substitute(e.b, even_map, odd_map))
-    if isinstance(e, Neg):
-        return neg(substitute(e.a, even_map, odd_map))
-    if isinstance(e, ScalarMul):
-        return scalar_mul(e.c, substitute(e.a, even_map, odd_map))
-    if isinstance(e, Apply):
-        return Apply(e.fn, substitute(e.a, even_map, odd_map))
-    if isinstance(e, IntPow):
-        return int_pow(substitute(e.a, even_map, odd_map), e.n)
-    raise ParseError(f"unknown node {e!r}")
 
+    def visit(n, *kids):
+        if isinstance(n, EvenCoord):
+            return even_map[n.i]
+        if isinstance(n, OddCoord):
+            return odd_map[n.j]
+        if isinstance(n, Const):
+            return n
+        if isinstance(n, Add):
+            return add(*kids)
+        if isinstance(n, Mul):
+            return mul(*kids)
+        if isinstance(n, Neg):
+            return neg(*kids)
+        if isinstance(n, ScalarMul):
+            return scalar_mul(n.c, *kids)
+        if isinstance(n, Apply):
+            return Apply(n.fn, *kids)
+        if isinstance(n, IntPow):
+            return int_pow(*kids, n.n)
+        raise unknown_node(n)
 
-def shift_coords(e, dp, dq):
-    """Shift all coordinate indices up, for sections on product domains."""
-    if isinstance(e, EvenCoord):
-        return EvenCoord(e.i + dp)
-    if isinstance(e, OddCoord):
-        return OddCoord(e.j + dq)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return Add(shift_coords(e.a, dp, dq), shift_coords(e.b, dp, dq))
-    if isinstance(e, Mul):
-        return Mul(shift_coords(e.a, dp, dq), shift_coords(e.b, dp, dq))
-    if isinstance(e, Neg):
-        return Neg(shift_coords(e.a, dp, dq))
-    if isinstance(e, ScalarMul):
-        return ScalarMul(e.c, shift_coords(e.a, dp, dq))
-    if isinstance(e, Apply):
-        return Apply(e.fn, shift_coords(e.a, dp, dq))
-    if isinstance(e, IntPow):
-        return IntPow(shift_coords(e.a, dp, dq), e.n)
-    raise ParseError(f"unknown node {e!r}")
+    return fold(e, visit)
 
 
 # -- canonical polynomial form -------------------------------------------------
@@ -354,16 +360,20 @@ def poly_dict(e):
     The odd mask merges with the usual transposition sign, so two polynomial
     expressions are semantically equal iff their dicts are equal.
     """
-    if isinstance(e, Const):
-        return {} if not e.value else {((), 0): e.value}
-    if isinstance(e, EvenCoord):
-        return {(((e.i, 1),), 0): Fraction(1)}
-    if isinstance(e, OddCoord):
-        return {((), 1 << (e.j - 1)): Fraction(1)}
-    if isinstance(e, Add):
-        pa, pb = poly_dict(e.a), poly_dict(e.b)
-        if pa is None or pb is None:
-            return None
+    return fold(e, _poly_of)
+
+
+def _poly_of(n, *kids):
+    if isinstance(n, Apply) or None in kids:
+        return None
+    if isinstance(n, Const):
+        return {} if not n.value else {((), 0): n.value}
+    if isinstance(n, EvenCoord):
+        return {(((n.i, 1),), 0): Fraction(1)}
+    if isinstance(n, OddCoord):
+        return {((), 1 << (n.j - 1)): Fraction(1)}
+    if isinstance(n, Add):
+        pa, pb = kids
         out = dict(pa)
         for key, c in pb.items():
             v = out.get(key, 0) + c
@@ -372,30 +382,18 @@ def poly_dict(e):
             else:
                 out.pop(key, None)
         return out
-    if isinstance(e, Neg):
-        pa = poly_dict(e.a)
-        return None if pa is None else {k: -c for k, c in pa.items()}
-    if isinstance(e, ScalarMul):
-        pa = poly_dict(e.a)
-        if pa is None:
-            return None
-        return {k: e.c * c for k, c in pa.items()} if e.c else {}
-    if isinstance(e, Mul):
-        pa, pb = poly_dict(e.a), poly_dict(e.b)
-        if pa is None or pb is None:
-            return None
-        return _poly_mul(pa, pb)
-    if isinstance(e, IntPow):
-        pa = poly_dict(e.a)
-        if pa is None:
-            return None
+    if isinstance(n, Neg):
+        return {k: -c for k, c in kids[0].items()}
+    if isinstance(n, ScalarMul):
+        return {k: n.c * c for k, c in kids[0].items()} if n.c else {}
+    if isinstance(n, Mul):
+        return _poly_mul(*kids)
+    if isinstance(n, IntPow):
         out = {((), 0): Fraction(1)}
-        for _ in range(e.n):
-            out = _poly_mul(out, pa)
+        for _ in range(n.n):
+            out = _poly_mul(out, kids[0])
         return out
-    if isinstance(e, Apply):
-        return None
-    raise ParseError(f"unknown node {e!r}")
+    raise unknown_node(n)
 
 
 def _poly_mul(pa, pb):
@@ -432,9 +430,12 @@ def polynomials_equal(e1, e2):
 # expr   := ['-'] term (('+'|'-') term)*
 # term   := factor ('*' factor)*
 # factor := atom ('^' INT)?
-# atom   := 'x'INT | 'theta'INT | NUMBER | FUNC '(' expr ')' | '(' expr ')'
-# FUNC   := exp | log | sin | cos | inv
+# atom   := NAME | NUMBER | FUNC '(' expr ')' | '(' expr ')'
 # NUMBER := INT('/'INT)? | decimal/scientific literal
+#
+# The grammar is shared: what NAME, NUMBER and FUNC mean comes from the
+# semantics handed to :func:`parse`.  For expressions NAME is x<i> or
+# theta<j> and FUNC is exp, log, sin, cos or inv.
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+(?:/\d+)?)"
@@ -443,6 +444,11 @@ _TOKEN = re.compile(
 )
 
 _FUNC_NAMES = {"exp": "exp", "log": "log", "sin": "sin", "cos": "cos", "inv": "reciprocal"}
+
+# parenthesis depth the parser accepts; each level costs four interpreter
+# frames, so this keeps deep input a ParseError well inside the default
+# recursion limit
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -456,22 +462,20 @@ def _tokenize(text):
                 break
             raise ParseError(f"bad token at {tail[:12]!r}")
         pos = m.end()
-        if m.group("num"):
-            out.append(("num", m.group("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+        out.append((m.lastgroup, m.group(m.lastgroup)))
     out.append(("end", ""))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens, p, q):
+    """Recursive descent over the tokens; operators are applied with Python's
+    arithmetic operators to whatever the semantics builds."""
+
+    def __init__(self, tokens, semantics):
         self.tokens = tokens
         self.pos = 0
-        self.p = p
-        self.q = q
+        self.semantics = semantics
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -481,10 +485,16 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, op):
+        """Take the next token if it is the operator ``op``."""
+        if self.tokens[self.pos] == ("op", op):
+            self.pos += 1
+            return True
+        return False
+
     def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
+        if not self.accept(op):
+            raise ParseError(f"expected {op!r}, found {self.peek()[1]!r}")
 
     def parse(self):
         e = self.expr()
@@ -494,81 +504,99 @@ class _Parser:
         return e
 
     def expr(self):
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.take()
-            negate = True
+        negate = self.accept("-")
         e = self.term()
         if negate:
-            e = neg(e)
+            e = -e
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
+            if self.accept("+"):
+                e = e + self.term()
+            elif self.accept("-"):
+                e = e - self.term()
             else:
                 return e
 
     def term(self):
         e = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                e = mul(e, self.factor())
-            else:
-                return e
+        while self.accept("*"):
+            e = e * self.factor()
+        return e
 
     def factor(self):
         e = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
+        if self.accept("^"):
             kind, val = self.take()
             if kind != "num" or not val.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {val!r}")
-            e = int_pow(e, int(val))
+            e = e ** int(val)
         return e
 
     def atom(self):
         kind, val = self.take()
         if kind == "num":
-            # decimal and scientific literals stay floats so text round-trips
-            # exactly; integers and num/den literals are exact rationals
-            if "." in val or "e" in val or "E" in val:
-                return Const(float(val))
-            return Const(Fraction(val))
+            return self.semantics.number(val)
         if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.group()
         if kind == "name":
-            if val in _FUNC_NAMES:
-                self.expect_op("(")
-                e = self.expr()
-                self.expect_op(")")
-                return Apply(_FUNC_NAMES[val], e)
-            m = re.fullmatch(r"x(\d+)", val)
-            if m:
-                i = int(m.group(1))
-                if self.p is not None and not 1 <= i <= self.p:
-                    raise ParseError(f"even coordinate x{i} out of range 1..{self.p}")
-                return EvenCoord(i)
-            m = re.fullmatch(r"theta(\d+)", val)
-            if m:
-                j = int(m.group(1))
-                if self.q is not None and not 1 <= j <= self.q:
-                    raise ParseError(f"odd coordinate theta{j} out of range 1..{self.q}")
-                return OddCoord(j)
-            raise ParseError(f"unknown name {val!r}")
+            fn = self.semantics.functions.get(val)
+            if fn is None:
+                return self.semantics.name(val)
+            self.expect_op("(")
+            return fn(self.group())
         raise ParseError(f"unexpected token {val!r}")
+
+    def group(self):
+        """The sub-expression after an opening parenthesis, and its ')'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+        e = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
+
+class _ExprSemantics:
+    """Expression leaves; coordinate ranges checked when p, q are given."""
+
+    functions = {name: partial(Apply, fn) for name, fn in _FUNC_NAMES.items()}
+
+    def __init__(self, p, q):
+        self.p = p
+        self.q = q
+
+    def number(self, text):
+        # decimal and scientific literals stay floats so text round-trips
+        # exactly; integers and num/den literals are exact rationals
+        if "." in text or "e" in text or "E" in text:
+            return Const(float(text))
+        return Const(Fraction(text))
+
+    def name(self, text):
+        m = re.fullmatch(r"(x|theta)(\d+)", text)
+        if not m:
+            raise ParseError(f"unknown name {text!r}")
+        even = m.group(1) == "x"
+        idx = int(m.group(2))
+        bound = self.p if even else self.q
+        if bound is not None and not 1 <= idx <= bound:
+            raise ParseError(f"coordinate {text} out of range 1..{bound}")
+        return EvenCoord(idx) if even else OddCoord(idx)
+
+
+def parse(text, semantics):
+    """Parse the grammar above into the values ``semantics`` builds.
+
+    ``semantics`` has ``number(text)`` and ``name(text)`` for the leaves and
+    ``functions``, a map from a function name to a one-argument callable;
+    ``+ - * ^`` act on the built values through Python's operators.
+    """
+    return _Parser(_tokenize(text), semantics).parse()
 
 
 def parse_expr(text, p=None, q=None):
     """Parse the expression grammar; coordinate ranges checked when p, q given."""
-    return _Parser(_tokenize(text), p, q).parse()
+    return parse(text, _ExprSemantics(p, q))
 
 
 _FUNC_TEXT = {v: k for k, v in _FUNC_NAMES.items()}
@@ -578,44 +606,44 @@ _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 def to_text(e):
     """Render to the expression grammar (parses back to the same tree semantics)."""
-    return _render(e, 0)
+    return fold(e, _render)[0]
 
 
-def _render(e, ctx):
-    if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, Fraction):
-            text = str(v)
-            prec = _PREC_ATOM if v.denominator == 1 and v >= 0 else _PREC_ADD
-        else:
-            text = repr(v)
-            prec = _PREC_ATOM if not text.startswith("-") else _PREC_ADD
-        return _wrap(text, prec, ctx)
-    if isinstance(e, EvenCoord):
-        return f"x{e.i}"
-    if isinstance(e, OddCoord):
-        return f"theta{e.j}"
-    if isinstance(e, Add):
-        text = f"{_render(e.a, _PREC_ADD)} + {_render(e.b, _PREC_ADD + 1)}"
-        return _wrap(text, _PREC_ADD, ctx)
-    if isinstance(e, Neg):
-        text = f"-{_render(e.a, _PREC_MUL + 1)}"
-        return _wrap(text, _PREC_ADD, ctx)
-    if isinstance(e, Mul):
-        text = f"{_render(e.a, _PREC_MUL)}*{_render(e.b, _PREC_MUL + 1)}"
-        return _wrap(text, _PREC_MUL, ctx)
-    if isinstance(e, ScalarMul):
-        text = f"{_render(Const(e.c), _PREC_MUL)}*{_render(e.a, _PREC_MUL + 1)}"
-        return _wrap(text, _PREC_MUL, ctx)
-    if isinstance(e, IntPow):
-        text = f"{_render(e.a, _PREC_ATOM)}^{e.n}"
-        return _wrap(text, _PREC_POW, ctx)
-    if isinstance(e, Apply):
-        return f"{_FUNC_TEXT[e.fn]}({_render(e.a, 0)})"
-    raise ParseError(f"unknown node {e!r}")
+def _render(n, *kids):
+    """(text, precedence) of a node, from those of its children."""
+    if isinstance(n, Const):
+        return _const_text(n.value)
+    if isinstance(n, EvenCoord):
+        return f"x{n.i}", _PREC_ATOM
+    if isinstance(n, OddCoord):
+        return f"theta{n.j}", _PREC_ATOM
+    if isinstance(n, Add):
+        text = f"{_wrap(kids[0], _PREC_ADD)} + {_wrap(kids[1], _PREC_ADD + 1)}"
+        return text, _PREC_ADD
+    if isinstance(n, Neg):
+        return f"-{_wrap(kids[0], _PREC_MUL + 1)}", _PREC_ADD
+    if isinstance(n, Mul):
+        text = f"{_wrap(kids[0], _PREC_MUL)}*{_wrap(kids[1], _PREC_MUL + 1)}"
+        return text, _PREC_MUL
+    if isinstance(n, ScalarMul):
+        text = f"{_wrap(_const_text(n.c), _PREC_MUL)}*{_wrap(kids[0], _PREC_MUL + 1)}"
+        return text, _PREC_MUL
+    if isinstance(n, IntPow):
+        return f"{_wrap(kids[0], _PREC_ATOM)}^{n.n}", _PREC_POW
+    if isinstance(n, Apply):
+        return f"{_FUNC_TEXT[n.fn]}({kids[0][0]})", _PREC_ATOM
+    raise unknown_node(n)
 
 
-def _wrap(text, prec, ctx):
+def _const_text(v):
+    if isinstance(v, Fraction):
+        return str(v), _PREC_ATOM if v.denominator == 1 and v >= 0 else _PREC_ADD
+    text = repr(v)
+    return text, _PREC_ATOM if not text.startswith("-") else _PREC_ADD
+
+
+def _wrap(rendered, ctx):
+    text, prec = rendered
     return f"({text})" if prec < ctx else text
 
 
@@ -623,31 +651,35 @@ def _wrap(text, prec, ctx):
 
 
 def expr_to_json(e):
-    if isinstance(e, Const):
-        v = e.value
+    return fold(e, _json_of)
+
+
+def _json_of(n, *args):
+    if isinstance(n, Const):
+        v = n.value
         if isinstance(v, Fraction):
             return {"op": "const", "value": str(v)}
         if isinstance(v, complex):
             return {"op": "const", "value": [v.real, v.imag], "field": "complex"}
         return {"op": "const", "value": v}
-    if isinstance(e, EvenCoord):
-        return {"op": "x", "i": e.i}
-    if isinstance(e, OddCoord):
-        return {"op": "theta", "j": e.j}
-    if isinstance(e, Add):
-        return {"op": "add", "args": [expr_to_json(e.a), expr_to_json(e.b)]}
-    if isinstance(e, Mul):
-        return {"op": "mul", "args": [expr_to_json(e.a), expr_to_json(e.b)]}
-    if isinstance(e, Neg):
-        return {"op": "neg", "args": [expr_to_json(e.a)]}
-    if isinstance(e, ScalarMul):
-        return {"op": "scalarmul", "value": str(e.c) if isinstance(e.c, Fraction) else e.c,
-                "args": [expr_to_json(e.a)]}
-    if isinstance(e, IntPow):
-        return {"op": "intpow", "n": e.n, "args": [expr_to_json(e.a)]}
-    if isinstance(e, Apply):
-        return {"op": e.fn, "args": [expr_to_json(e.a)]}
-    raise ParseError(f"unknown node {e!r}")
+    if isinstance(n, EvenCoord):
+        return {"op": "x", "i": n.i}
+    if isinstance(n, OddCoord):
+        return {"op": "theta", "j": n.j}
+    if isinstance(n, Add):
+        return {"op": "add", "args": list(args)}
+    if isinstance(n, Mul):
+        return {"op": "mul", "args": list(args)}
+    if isinstance(n, Neg):
+        return {"op": "neg", "args": list(args)}
+    if isinstance(n, ScalarMul):
+        return {"op": "scalarmul", "value": str(n.c) if isinstance(n.c, Fraction) else n.c,
+                "args": list(args)}
+    if isinstance(n, IntPow):
+        return {"op": "intpow", "n": n.n, "args": list(args)}
+    if isinstance(n, Apply):
+        return {"op": n.fn, "args": list(args)}
+    raise unknown_node(n)
 
 
 def expr_from_json(obj):

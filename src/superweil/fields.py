@@ -26,6 +26,7 @@ class Field:
     name: str
     exact: bool
     transcendental: bool
+    primitives = None  # module with exp, log, sin, cos on the inexact fields
 
     def __repr__(self):
         return f"<field {self.name}>"
@@ -73,10 +74,14 @@ class Field:
         return self.norm(value) <= 1e-12 * max(1.0, scale)
 
     def function_value(self, fn, x):
-        """Value of a transcendental primitive at a field scalar."""
-        raise EvaluationError(
-            f"{fn} requires an inexact scalar field, not {self.name}"
-        )
+        """Value of a transcendental primitive at a field scalar; overflow and
+        arguments outside the function's domain are evaluation errors."""
+        if self.primitives is None:
+            raise EvaluationError(f"{fn} requires an inexact scalar field, not {self.name}")
+        try:
+            return getattr(self.primitives, fn)(x)
+        except (OverflowError, ValueError) as exc:
+            raise EvaluationError(f"{fn} of body {x!r}: {exc}") from None
 
     def nth_derivative(self, fn, n, x):
         """n-th derivative of an analytic primitive at x.
@@ -138,6 +143,7 @@ class RealField(Field):
     name = "real"
     exact = False
     transcendental = True
+    primitives = math
 
     def coerce(self, value):
         if isinstance(value, complex):
@@ -153,16 +159,12 @@ class RealField(Field):
     def to_json(self, value):
         return value
 
-    def function_value(self, fn, x):
-        if fn == "log" and x <= 0.0:
-            raise EvaluationError(f"log of non-positive body {x!r}")
-        return getattr(math, fn)(x)
-
 
 class ComplexField(Field):
     name = "complex"
     exact = False
     transcendental = True
+    primitives = cmath
 
     def coerce(self, value):
         return complex(value)
@@ -185,11 +187,6 @@ class ComplexField(Field):
         if isinstance(value, list):
             return complex(value[0], value[1])
         return self.coerce(value)
-
-    def function_value(self, fn, x):
-        if fn == "log" and x == 0:
-            raise EvaluationError("log of zero body")
-        return getattr(cmath, fn)(x)
 
 
 RATIONAL = RationalField()

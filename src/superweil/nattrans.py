@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import expr as ex
+from .algebra import exponents_up_to
 from .apoints import APoint, DomainMorphism, contract_coefficients
 from .errors import AlgebraError, EvaluationError, ParityError, RegionError
-from .fields import Field
+from .fields import Field, infer_field
 from .superfunc import (
     derive_expr_even,
     eval_expr_classical,
+    factorial_multi,
+    mixed_partial,
     normalize_components,
 )
 
@@ -83,45 +85,17 @@ def series_from_morphism(phi: DomainMorphism, order: int) -> TruncatedFormalSeri
     m, n = phi.target.p, phi.target.q
     slots = []
     for pb in phi.pullbacks:
-        comps = normalize_components(pb)
         cmap = {}
-        for indices, comp in comps.items():
-            derivs = {(0,) * p: comp}
-            for nu in _exponents_up_to_order(p, order):
-                e = _derivative_at(derivs, nu)
+        for indices, comp in normalize_components(pb).items():
+            derivs = {}
+            for nu in exponents_up_to(p, order):
+                e = mixed_partial(derivs, comp, nu)
                 if ex.is_zero_const(e):
                     continue
-                scale = Fraction(1, _factorial_multi(nu))
+                scale = Fraction(1, factorial_multi(nu))
                 cmap[(nu, indices)] = ex.scalar_mul(scale, e)
         slots.append(cmap)
     return TruncatedFormalSeries((p, q), (m, n), order, tuple(slots))
-
-
-def _exponents_up_to_order(p, order):
-    if p == 0:
-        yield ()
-        return
-    for head in range(order + 1):
-        for tail in _exponents_up_to_order(p - 1, order - head):
-            yield (head,) + tail
-
-
-def _derivative_at(cache, nu):
-    cached = cache.get(nu)
-    if cached is not None:
-        return cached
-    i = next(idx for idx, v in enumerate(nu) if v)
-    parent = tuple(v - 1 if idx == i else v for idx, v in enumerate(nu))
-    result = derive_expr_even(_derivative_at(cache, parent), i + 1)
-    cache[nu] = result
-    return result
-
-
-def _factorial_multi(nu):
-    out = 1
-    for v in nu:
-        out *= factorial(v)
-    return out
 
 
 def apply_series(series: TruncatedFormalSeries, x: APoint):
@@ -207,7 +181,7 @@ def check_comes_from_morphism(
     the report note).
     """
     if scalar_field is None:
-        scalar_field = _field_of(sample_points)
+        scalar_field = infer_field([v for pt in sample_points for v in pt])
     p, q = series.source_dims
     for point in sample_points:
         if len(point) != p:
@@ -251,9 +225,3 @@ def check_comes_from_morphism(
                         Violation(k, i, nu, indices, point, residual, "recursion violated")
                     )
     return CheckReport(series.order, checked, tuple(violations))
-
-
-def _field_of(sample_points):
-    from .fields import infer_field
-
-    return infer_field([v for pt in sample_points for v in pt])

@@ -23,7 +23,7 @@ from .calculus import Derivation, Distribution, TangentVector, make_derivation, 
 from .errors import ParseError
 from .fields import field_by_name
 from .nattrans import TruncatedFormalSeries
-from .superfunc import Section, SuperDomain
+from .superfunc import Section, SuperDomain, section
 
 WORKSPACE_SCHEMA = 1
 
@@ -137,7 +137,7 @@ def section_to_json(s: Section):
 
 def section_from_json(obj):
     domain = domain_from_json(obj["domain"])
-    return Section(domain, ex.parse_expr(obj["expr"], domain.p, domain.q))
+    return section(domain, obj["expr"])
 
 
 def apoint_to_json(x: APoint):
@@ -253,18 +253,30 @@ def series_to_json(series: TruncatedFormalSeries):
 
 
 def series_from_json(obj):
-    p, q = obj["source"]
+    p, q = _lookup(obj, "source", "series")
     slots = []
-    for entries in obj["slots"]:
+    for entries in _lookup(obj, "slots", "series"):
         cmap = {}
         for entry in entries:
-            cmap[(tuple(entry["nu"]), tuple(entry["J"]))] = ex.parse_expr(
-                entry["expr"], p, None
-            )
+            nu, indices, text = (_lookup(entry, k, "series entry") for k in ("nu", "J", "expr"))
+            cmap[(tuple(nu), tuple(indices))] = ex.parse_expr(text, p, None)
         slots.append(cmap)
-    return TruncatedFormalSeries(
-        (p, q), tuple(obj["target"]), obj["order"], tuple(slots)
-    )
+    target, order = _lookup(obj, "target", "series"), _lookup(obj, "order", "series")
+    return TruncatedFormalSeries((p, q), tuple(target), order, tuple(slots))
+
+
+def _named(registry, entry, field, what):
+    """The registered object that ``entry[field]`` names."""
+    return _lookup(registry, _lookup(entry, field, what), f"the workspace ({what} {field})")
+
+
+def _lookup(obj, key, what):
+    """``obj[key]`` of decoded JSON or of a workspace registry; a ParseError
+    naming ``what`` when it is absent."""
+    try:
+        return obj[key]
+    except (KeyError, IndexError, TypeError):
+        raise ParseError(f"{what} has no {key!r}") from None
 
 
 # -- workspace ---------------------------------------------------------------------
@@ -335,13 +347,11 @@ class Workspace:
         ws.algebras = {n: algebra_from_json(a) for n, a in obj.get("algebras", {}).items()}
         ws.domains = {n: domain_from_json(d) for n, d in obj.get("domains", {}).items()}
         for n, entry in obj.get("sections", {}).items():
-            domain = ws.domains[entry["domain"]]
-            ws.sections[n] = Section(
-                domain, ex.parse_expr(entry["expr"], domain.p, domain.q)
-            )
+            domain = _named(ws.domains, entry, "domain", f"section {n}")
+            ws.sections[n] = section(domain, _lookup(entry, "expr", f"section {n}"))
         for n, entry in obj.get("points", {}).items():
-            domain = ws.domains[entry["domain"]]
-            algebra = ws.algebras[entry["algebra"]]
+            domain = _named(ws.domains, entry, "domain", f"point {n}")
+            algebra = _named(ws.algebras, entry, "algebra", f"point {n}")
             ws.points[n] = make_apoint(
                 domain,
                 algebra,
@@ -350,9 +360,9 @@ class Workspace:
             )
         for n, entry in obj.get("morphisms", {}).items():
             ws.morphisms[n] = make_domain_morphism(
-                ws.domains[entry["source"]],
-                ws.domains[entry["target"]],
-                entry["pullbacks"],
+                _named(ws.domains, entry, "source", f"morphism {n}"),
+                _named(ws.domains, entry, "target", f"morphism {n}"),
+                _lookup(entry, "pullbacks", f"morphism {n}"),
             )
         ws.series = {n: series_from_json(f) for n, f in obj.get("series", {}).items()}
         return ws

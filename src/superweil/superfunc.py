@@ -102,33 +102,33 @@ def section(domain, text_or_expr):
 
 def derive_expr_even(e, i):
     """Partial derivative along x_i, chain rule through analytic nodes."""
-    if isinstance(e, ex.EvenCoord):
-        return ex.ONE if e.i == i else ex.ZERO
-    if isinstance(e, (ex.OddCoord, ex.Const)):
-        return ex.ZERO
-    if isinstance(e, ex.Add):
-        return ex.add(derive_expr_even(e.a, i), derive_expr_even(e.b, i))
-    if isinstance(e, ex.Neg):
-        return ex.neg(derive_expr_even(e.a, i))
-    if isinstance(e, ex.ScalarMul):
-        return ex.scalar_mul(e.c, derive_expr_even(e.a, i))
-    if isinstance(e, ex.Mul):
-        return ex.add(
-            ex.mul(derive_expr_even(e.a, i), e.b),
-            ex.mul(e.a, derive_expr_even(e.b, i)),
-        )
-    if isinstance(e, ex.IntPow):
-        da = derive_expr_even(e.a, i)
-        return ex.scalar_mul(e.n, ex.mul(ex.int_pow(e.a, e.n - 1), da))
-    if isinstance(e, ex.Apply):
-        da = derive_expr_even(e.a, i)
-        return ex.mul(_analytic_derivative_expr(e.fn, e.a), da)
-    raise EvaluationError(f"cannot differentiate node {e!r}")
+
+    def visit(n, *d):
+        if isinstance(n, ex.EvenCoord):
+            return ex.ONE if n.i == i else ex.ZERO
+        if isinstance(n, (ex.OddCoord, ex.Const)):
+            return ex.ZERO
+        if isinstance(n, ex.Add):
+            return ex.add(*d)
+        if isinstance(n, ex.Neg):
+            return ex.neg(d[0])
+        if isinstance(n, ex.ScalarMul):
+            return ex.scalar_mul(n.c, d[0])
+        if isinstance(n, ex.Mul):
+            return ex.add(ex.mul(d[0], n.b), ex.mul(n.a, d[1]))
+        if isinstance(n, ex.IntPow):
+            return ex.scalar_mul(n.n, ex.mul(ex.int_pow(n.a, n.n - 1), d[0]))
+        if isinstance(n, ex.Apply):
+            return ex.mul(_analytic_derivative_expr(n), d[0])
+        raise ex.unknown_node(n)
+
+    return ex.fold(e, visit)
 
 
-def _analytic_derivative_expr(fn, a):
+def _analytic_derivative_expr(node):
+    fn, a = node.fn, node.a
     if fn == "exp":
-        return ex.Apply("exp", a)
+        return node
     if fn == "log":
         return ex.reciprocal(a)
     if fn == "sin":
@@ -141,9 +141,7 @@ def _analytic_derivative_expr(fn, a):
 
 
 def _analytic_nth_derivative_expr(fn, n, a):
-    """Closed-form n-th derivative of an analytic node, as an expression."""
-    if n == 0:
-        return ex.Apply(fn, a)
+    """Closed-form n-th derivative (n >= 1) of an analytic node, as an expression."""
     if fn == "exp":
         return ex.Apply("exp", a)
     if fn == "log":
@@ -186,6 +184,35 @@ def super_derive(s: Section, var):
     raise ParityError("derivative variable must be an EvenCoord or OddCoord")
 
 
+def mixed_partial(cache, e, nu, indices=()):
+    """d^nu (d^J e) for tuples nu and ascending J, memoized in ``cache``.
+
+    One cache serves one expression ``e``.  Odd derivatives apply first, in
+    ascending order; then each even step peels the first nonzero entry of nu,
+    so every entry is one derivative of an entry already in the cache.
+    """
+    key = (nu, indices)
+    out = cache.get(key)
+    if out is None:
+        if any(nu):
+            i = next(idx for idx, v in enumerate(nu) if v)
+            parent = nu[:i] + (nu[i] - 1,) + nu[i + 1 :]
+            out = derive_expr_even(mixed_partial(cache, e, parent, indices), i + 1)
+        elif indices:
+            out = derive_expr_odd(mixed_partial(cache, e, nu, indices[:-1]), indices[-1])
+        else:
+            out = e
+        cache[key] = out
+    return out
+
+
+def factorial_multi(nu):
+    out = 1
+    for v in nu:
+        out *= factorial(v)
+    return out
+
+
 def d_even(s, i):
     return super_derive(s, ex.EvenCoord(i))
 
@@ -199,78 +226,57 @@ def d_odd(s, j):
 
 def _attach_odds(coef, mask):
     out = coef
-    j = 1
-    m = mask
-    while m:
-        if m & 1:
-            out = ex.mul(out, ex.OddCoord(j))
-        m >>= 1
-        j += 1
+    for j in mask_to_indices(mask):
+        out = ex.mul(out, ex.OddCoord(j))
     return out
 
 
 def _components(e):
     """{odd mask: even-only Expr}; products push thetas right with merge signs."""
-    from .algebra import merge_sign
 
-    if isinstance(e, ex.OddCoord):
-        return {1 << (e.j - 1): ex.ONE}
-    if isinstance(e, (ex.EvenCoord, ex.Const)):
-        return {0: e} if not ex.is_zero_const(e) else {}
-    if isinstance(e, ex.Add):
-        out = dict(_components(e.a))
-        for mask, coef in _components(e.b).items():
-            if mask in out:
-                out[mask] = ex.add(out[mask], coef)
-            else:
-                out[mask] = coef
-        return out
-    if isinstance(e, ex.Neg):
-        return {m: ex.neg(c) for m, c in _components(e.a).items()}
-    if isinstance(e, ex.ScalarMul):
-        return {m: ex.scalar_mul(e.c, c) for m, c in _components(e.a).items()}
-    if isinstance(e, ex.Mul):
-        out = {}
-        cb = _components(e.b)
-        for ma, fa in _components(e.a).items():
-            for mb, fb in cb.items():
-                if ma & mb:
-                    continue
-                sign = merge_sign(ma, mb)
-                term = ex.mul(fa, fb)
-                if sign < 0:
-                    term = ex.neg(term)
-                mask = ma | mb
-                out[mask] = ex.add(out[mask], term) if mask in out else term
-        return out
-    if isinstance(e, ex.IntPow):
-        out = {0: ex.ONE}
-        base = _components(e.a)
-        for _ in range(e.n):
-            out = _mul_components(out, base)
-        return out
-    if isinstance(e, ex.Apply):
-        comps = _components(e.a)
-        base = comps.get(0, ex.ZERO)
-        nil = {m: c for m, c in comps.items() if m}
+    def visit(n, *comps):
+        if isinstance(n, ex.OddCoord):
+            return {1 << (n.j - 1): ex.ONE}
+        if isinstance(n, (ex.EvenCoord, ex.Const)):
+            return {0: n} if not ex.is_zero_const(n) else {}
+        if isinstance(n, ex.Add):
+            out = dict(comps[0])
+            for mask, coef in comps[1].items():
+                out[mask] = ex.add(out[mask], coef) if mask in out else coef
+            return out
+        if isinstance(n, ex.Neg):
+            return {m: ex.neg(c) for m, c in comps[0].items()}
+        if isinstance(n, ex.ScalarMul):
+            return {m: ex.scalar_mul(n.c, c) for m, c in comps[0].items()}
+        if isinstance(n, ex.Mul):
+            return _mul_components(*comps)
+        if isinstance(n, ex.IntPow):
+            out = {0: ex.ONE}
+            for _ in range(n.n):
+                out = _mul_components(out, comps[0])
+            return out
+        if not isinstance(n, ex.Apply):
+            raise ex.unknown_node(n)
+        base = comps[0].get(0, ex.ZERO)
+        nil = {m: c for m, c in comps[0].items() if m}
         # f(base + n) with n nilpotent: truncated Taylor series in n; every
         # term of n holds >= 2 odd coordinates, so n^(floor(q/2)+1) = 0
-        out = {0: ex.Apply(e.fn, base)}
+        out = {0: ex.Apply(n.fn, base)}
         power = {0: ex.ONE}
-        n = 1
+        k = 1
         inv_fact = Fraction(1)
         while True:
             power = _mul_components(power, nil)
             if not power:
-                break
-            inv_fact /= n
-            deriv = _analytic_nth_derivative_expr(e.fn, n, base)
+                return out
+            inv_fact /= k
+            deriv = _analytic_nth_derivative_expr(n.fn, k, base)
             for mask, coef in power.items():
                 term = ex.scalar_mul(inv_fact, ex.mul(deriv, coef))
                 out[mask] = ex.add(out[mask], term) if mask in out else term
-            n += 1
-        return out
-    raise EvaluationError(f"cannot normalize node {e!r}")
+            k += 1
+
+    return ex.fold(e, visit)
 
 
 def _mul_components(ca, cb):
@@ -327,34 +333,33 @@ def components_to_expr(components):
 
 def eval_expr_classical(e, point, scalar_field):
     """Evaluate with all odd coordinates at zero (the body of the section)."""
-    if isinstance(e, ex.Const):
-        return scalar_field.coerce(e.value)
-    if isinstance(e, ex.EvenCoord):
-        return scalar_field.coerce(point[e.i - 1])
-    if isinstance(e, ex.OddCoord):
-        return scalar_field.zero
-    if isinstance(e, ex.Add):
-        return eval_expr_classical(e.a, point, scalar_field) + eval_expr_classical(
-            e.b, point, scalar_field
-        )
-    if isinstance(e, ex.Mul):
-        return eval_expr_classical(e.a, point, scalar_field) * eval_expr_classical(
-            e.b, point, scalar_field
-        )
-    if isinstance(e, ex.Neg):
-        return -eval_expr_classical(e.a, point, scalar_field)
-    if isinstance(e, ex.ScalarMul):
-        return scalar_field.coerce(e.c) * eval_expr_classical(e.a, point, scalar_field)
-    if isinstance(e, ex.IntPow):
-        return eval_expr_classical(e.a, point, scalar_field) ** e.n
-    if isinstance(e, ex.Apply):
-        v = eval_expr_classical(e.a, point, scalar_field)
-        if e.fn == "reciprocal":
-            if scalar_field.is_zero(v):
-                raise EvaluationError("reciprocal evaluated at zero")
-            return 1 / v
-        return scalar_field.function_value(e.fn, v)
-    raise EvaluationError(f"cannot evaluate node {e!r}")
+
+    def visit(n, *v):
+        if isinstance(n, ex.Const):
+            return scalar_field.coerce(n.value)
+        if isinstance(n, ex.EvenCoord):
+            return scalar_field.coerce(point[n.i - 1])
+        if isinstance(n, ex.OddCoord):
+            return scalar_field.zero
+        if isinstance(n, ex.Add):
+            return v[0] + v[1]
+        if isinstance(n, ex.Mul):
+            return v[0] * v[1]
+        if isinstance(n, ex.Neg):
+            return -v[0]
+        if isinstance(n, ex.ScalarMul):
+            return scalar_field.coerce(n.c) * v[0]
+        if isinstance(n, ex.IntPow):
+            return v[0] ** n.n
+        if isinstance(n, ex.Apply):
+            if n.fn == "reciprocal":
+                if scalar_field.is_zero(v[0]):
+                    raise EvaluationError("reciprocal evaluated at zero")
+                return 1 / v[0]
+            return scalar_field.function_value(n.fn, v[0])
+        raise ex.unknown_node(n)
+
+    return ex.fold(e, visit)
 
 
 def eval_classical(s: Section, point, scalar_field: Field = None):

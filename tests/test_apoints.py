@@ -154,6 +154,24 @@ class TestEvalBothPaths:
             eval_ast(x, section(U10, "log(x1)"))
 
 
+def test_eval_taylor_does_not_route_through_eval_ast(monkeypatch):
+    from superweil import apoints
+
+    alg = make_truncated(1, 2, 4, REAL)
+    x = make_apoint(U12, alg, [alg.scalar(0.4) + alg.gen_even(1)], [alg.gen_odd(1), alg.gen_odd(2)])
+    s = section(U12, "exp(x1 + theta1*theta2)*sin(x1) + theta1*x1^2")
+    want = eval_ast(x, s)
+
+    def refuse(*args):
+        raise AssertionError("eval_taylor used the tree-walking evaluator")
+
+    monkeypatch.setattr(apoints, "_eval_node", refuse)
+    got = eval_taylor(x, s)
+    assert (got - want).norm() <= 1e-12 * max(1.0, want.norm())
+    with pytest.raises(AssertionError):
+        eval_ast(x, s)
+
+
 class TestPushforward:
     def test_projection_gives_base_point(self):
         a = cubic_jet_algebra()

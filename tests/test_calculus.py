@@ -102,6 +102,16 @@ class TestFiniteDifferences:
             d_fd = finite_difference_tangent(s, base, direction, 1e-5)
             assert abs(d_ad - d_fd) <= 1e-6 * max(1.0, abs(d_ad), abs(d_fd))
 
+    def test_battery_survives_cancelling_differences(self):
+        # case 3 of this seed holds exp(81/2) ~ 3.9e17, where the central
+        # difference cancels to 0.0; the battery falls back to the symbolic
+        # directional derivative there
+        from superweil.battery import suite_tangent_ad
+
+        result = suite_tangent_ad(1065698855)
+        assert result.passed, result.detail
+        assert result.cases == 200
+
 
 class TestDerivations:
     def test_formula_on_coordinate_product(self):

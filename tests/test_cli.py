@@ -191,3 +191,89 @@ class TestExitCodes:
         proc = run(["algebra", "--spec", "nope:3"])
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+
+class TestMalformedInput:
+    """Malformed input ends in exit 1 and a one-line diagnostic, no traceback."""
+
+    @staticmethod
+    def fails_cleanly(args, capsys):
+        from superweil import cli
+
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_deep_parentheses_in_section(self, capsys):
+        deep = "(" * 300 + "x1" + ")" * 300
+        args = ["eval", "--algebra", "dual", "--point", "x1=1+t1", "--section", deep]
+        self.fails_cleanly(args, capsys)
+
+    def test_deep_parentheses_in_point(self, capsys):
+        deep = "(" * 300 + "t1" + ")" * 300
+        args = ["eval", "--algebra", "dual", "--point", f"x1={deep}", "--section", "x1"]
+        self.fails_cleanly(args, capsys)
+
+    @pytest.mark.parametrize("entry", ["sections", "points"])
+    def test_dangling_workspace_reference(self, entry, tmp_path, capsys):
+        ws = {"schema": 1, "algebras": {}, "domains": {}}
+        ws[entry] = {"f": {"domain": "missing", "algebra": "missing", "expr": "x1",
+                           "even": [], "odd": []}}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(ws))
+        args = ["eval", "--workspace", str(path), "--algebra", "dual", "--point", "x1=1",
+                "--section", "x1"]
+        self.fails_cleanly(args, capsys)
+
+    def test_dist_coefficient_without_a(self, capsys):
+        args = ["dist", "--base", "0", "--order", "1", "--coeffs", '[{"nu": [1]}]',
+                "--section", "x1"]
+        self.fails_cleanly(args, capsys)
+
+    def test_series_without_slots(self, tmp_path, capsys):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"source": [1, 0], "target": [1, 0], "order": 2}))
+        self.fails_cleanly(["check-nat", "--series", str(path), "--points", "1"], capsys)
+
+    def test_exp_overflow(self, capsys):
+        args = ["eval", "--field", "real", "--algebra", "dual", "--point", "x1=1000",
+                "--section", "exp(x1)"]
+        self.fails_cleanly(args, capsys)
+
+    def test_sin_of_infinite_body(self, capsys):
+        args = ["eval", "--field", "real", "--algebra", "dual", "--point", "x1=1e308*10",
+                "--section", "sin(x1)"]
+        self.fails_cleanly(args, capsys)
+
+    def test_oversized_truncation_fails_before_enumerating(self, capsys):
+        self.fails_cleanly(["algebra", "--spec", "trunc:10,10,20"], capsys)
+
+
+def test_selftest_jobs_are_clamped(monkeypatch):
+    import multiprocessing
+
+    from superweil import battery
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    n_suites = len(battery.ALL_SUITES)
+    for cpus, jobs, want in ((64, 10**6, n_suites), (3, 8, 3), (None, 8, None), (8, 1, None)):
+        monkeypatch.setattr(battery.os, "cpu_count", lambda: cpus)
+        requested.clear()
+        results = battery.run_all(seed=1, scale=0.001, jobs=jobs)
+        assert len(results) == n_suites
+        assert requested == ([] if want is None else [want])

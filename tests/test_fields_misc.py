@@ -102,6 +102,19 @@ class TestLimitsAndMismatches:
         with pytest.raises(AlgebraError):
             make_truncated(6, 0, 12)
 
+    def test_dimension_cap_is_checked_before_enumerating(self):
+        # 2.7e9 ambient monomials: listing them first would not finish
+        with pytest.raises(AlgebraError, match="2684641785"):
+            make_truncated(10, 10, 20)
+
+    def test_ambient_closed_form(self):
+        from superweil.algebra import _ambient_monomials, ambient_dim
+
+        for k in range(4):
+            for l in range(4):
+                for s in range(1, 7):
+                    assert ambient_dim(k, l, s) == len(_ambient_monomials(k, l, s))
+
     def test_mul_across_algebras(self):
         a, b = make_grassmann(1), make_grassmann(2)
         with pytest.raises(AlgebraError):

@@ -141,6 +141,26 @@ class TestParserRobustness:
         with pytest.raises(ParseError):
             parse_point_spec("x1=1, th2=z2", g)  # th1 missing
 
+    def test_deep_nesting_is_a_parse_error_in_both_grammars(self):
+        deep = "(" * 300 + "1" + ")" * 300
+        with pytest.raises(ParseError):
+            parse_expr(deep, 1, 0)
+        with pytest.raises(ParseError):
+            parse_expr("exp(" * 300 + "x1" + ")" * 300, 1, 0)
+        with pytest.raises(ParseError):
+            parse_element(deep, make_grassmann(2))
+        # nesting up to the bound still parses
+        ok = "(" * 60 + "1" + ")" * 60
+        assert parse_expr(ok, 1, 0) == parse_expr("1", 1, 0)
+        assert parse_element(ok, make_grassmann(2)) == make_grassmann(2).one()
+
+    def test_element_literals_are_field_scalars(self):
+        a = make_truncated(1, 1, 3)
+        assert parse_element("0.1*t1", a) == a.gen_even(1).scale(F(1, 10))
+        assert parse_element("z1^2 + 1e1", a) == a.scalar(10)
+        with pytest.raises(ParseError):
+            parse_element("exp(t1)", a)
+
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())

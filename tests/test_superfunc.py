@@ -221,3 +221,40 @@ def test_component_reconstruction_random(seed):
     e = rand_polynomial_expr(rng, 2, 2)
     rebuilt = components_to_expr(normalize_components(Section(U, e)))
     assert poly_dict(rebuilt) == poly_dict(e)
+
+
+def test_derivative_of_a_shared_dag_stays_small():
+    # x1^(2^16) as 16 squarings of one shared node: 17 distinct nodes that
+    # unfold to a tree of 2^17 - 1
+    e = ex.EvenCoord(1)
+    for _ in range(16):
+        e = ex.Mul(e, e)
+    d = d_even(Section(SuperDomain(1, 0), e), 1).expr
+
+    seen = set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, k) for k in "ab"[: node.arity])
+    assert len(seen) <= 4 * 16 + 4
+    # classical evaluation walks the same DAG: d/dx x^(2^16) at 1 is 2^16
+    assert eval_classical(Section(SuperDomain(1, 0), d), (F(1),)) == 2**16
+
+
+def test_walks_leave_no_reference_cycles():
+    # a memo kept alive by a cycle would outlive the call until a GC pass
+    import gc
+
+    s = section(SuperDomain(1, 1), "x1*x1*theta1 + exp(x1)")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            eval_classical(d_even(s, 1), (0.5,))
+            normalize_components(s)
+            to_text(s.expr)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
