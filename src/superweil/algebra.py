@@ -14,6 +14,7 @@ what makes truncated-Taylor evaluation of smooth functions terminate.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -45,16 +46,6 @@ class Monomial(NamedTuple):
 
     def is_one(self):
         return not self.odd and not any(self.nu)
-
-
-def monomial_from_indices(nu, odd_indices):
-    mask = 0
-    for j in odd_indices:
-        bit = 1 << (j - 1)
-        if mask & bit:
-            raise ParityError(f"odd index {j} repeated in monomial")
-        mask |= bit
-    return Monomial(tuple(nu), mask)
 
 
 def merge_sign(mask_a, mask_b):
@@ -136,7 +127,7 @@ class SuperWeilAlgebra:
     :func:`tensor` or :func:`join`.
     """
 
-    def __init__(self, field, k, l, s, ideal_rows, _pivots=None):
+    def __init__(self, field, k, l, s, ideal_rows):
         if s < 1:
             raise AlgebraError(f"invalid truncation order s={s}; need s >= 1")
         if k < 0 or l < 0:
@@ -153,31 +144,30 @@ class SuperWeilAlgebra:
             )
         self.ambient_basis = _ambient_monomials(k, l, s)
         self._ambient_index = {m: i for i, m in enumerate(self.ambient_basis)}
-        if _pivots is None:
-            ideal_rows, _pivots = rref_desc(
-                ideal_rows, len(self.ambient_basis), field
-            )
+        ideal_rows, pivots = rref_desc(ideal_rows, len(self.ambient_basis), field)
         self.ideal_rows = tuple(tuple(r) for r in ideal_rows)
-        self.pivot_cols = tuple(_pivots)
-        pivot_set = set(self.pivot_cols)
-        if self._ambient_index.get(Monomial((0,) * k, 0)) in pivot_set:
+        self.pivot_cols = tuple(pivots)
+        if self._ambient_index.get(Monomial((0,) * k, 0)) in self.pivot_cols:
             raise AlgebraError("ideal contains a unit; the quotient collapses")
-        for row in self.ideal_rows:
-            parities = {
-                self.ambient_basis[i].parity()
-                for i, c in enumerate(row)
-                if not field.is_zero(c)
-            }
+        # a reduced row says pivot + rest = 0 with the rest on basis monomials,
+        # so -rest is the normal form of the pivot monomial
+        self._reduction = {}
+        for row, col in zip(self.ideal_rows, self.pivot_cols):
+            nf = {}
+            parities = set()
+            for i, c in enumerate(row):
+                if not field.is_zero(c):
+                    parities.add(self.ambient_basis[i].parity())
+                    if i != col:
+                        nf[self.ambient_basis[i]] = -c
             if len(parities) > 1:
                 raise ParityError("ideal row is not parity-homogeneous")
+            self._reduction[self.ambient_basis[col]] = nf
         self.quotient_basis = tuple(
-            m for i, m in enumerate(self.ambient_basis) if i not in pivot_set
+            m for m in self.ambient_basis if m not in self._reduction
         )
         self.basis_index = {m: i for i, m in enumerate(self.quotient_basis)}
-        self._nf_cache = {}
         self._pair_cache = {}
-        self._height = None
-        self._width = None
         self._signature = (field.name, k, l, s, self.ideal_rows)
 
     # -- basic structure ------------------------------------------------
@@ -275,24 +265,11 @@ class SuperWeilAlgebra:
 
     def _normal_form(self, m):
         """Normal form of an ambient monomial as {quotient monomial: coeff}."""
-        cached = self._nf_cache.get(m)
-        if cached is not None:
-            return cached
         if m.degree() >= self.s:
-            nf = {}
-        elif m in self.basis_index:
-            nf = {m: self.field.one}
-        else:
-            col = self._ambient_index[m]
-            row_i = self.pivot_cols.index(col)
-            row = self.ideal_rows[row_i]
-            nf = {}
-            for i, c in enumerate(row):
-                if i == col or self.field.is_zero(c):
-                    continue
-                nf[self.ambient_basis[i]] = -c
-        self._nf_cache[m] = nf
-        return nf
+            return {}
+        if m in self.basis_index:
+            return {m: self.field.one}
+        return self._reduction[m]
 
     def _mul_basis(self, m1, m2):
         key = (m1, m2)
@@ -316,61 +293,54 @@ class SuperWeilAlgebra:
     def is_purely_even(self):
         return all(m.parity() == 0 for m in self.quotient_basis)
 
-    def _subspace_power_dims(self):
-        """Dims of the powers of the nilpotent ideal, computed by brute products."""
-        field = self.field
-        dim = self.dim
-        nil = []
-        for m in self.nil_monomials():
-            row = [field.zero] * dim
-            row[self.basis_index[m]] = field.one
-            nil.append(row)
-        nil, _ = rref_desc(nil, dim, field)
+    @cached_property
+    def _power_dims(self):
+        """Dimensions of nil, nil^2, ... down to the last non-zero power.
+
+        nil^(r+1) = sum over the generators g of nil^r * g, and nil^s = 0 in
+        a degree-s truncation, so at most s-1 powers are computed.  On inexact
+        fields a product negligible at the scale of its factors is float
+        residue of a zero product and is dropped before row reduction.
+        """
+        field, dim = self.field, self.dim
+        gens = [g for g in self.generators() if not g.is_zero()]
+        level = [AlgebraElement(self, {m: field.one}) for m in self.nil_monomials()]
         dims = []
-        current = nil
-        nil_elements = [self._row_to_element(r) for r in nil]
-        while current:
-            dims.append(len(current))
-            nxt = []
-            for row in current:
-                u = self._row_to_element(row)
-                for v in nil_elements:
-                    w = u * v
-                    if not w.is_zero():
-                        nxt.append(self._element_to_row(w))
-            current, _ = rref_desc(nxt, dim, field)
-        return dims
-
-    def _row_to_element(self, row):
-        return AlgebraElement(
-            self,
-            {
-                self.quotient_basis[i]: c
-                for i, c in enumerate(row)
-                if not self.field.is_zero(c)
-            },
-        )
-
-    def _element_to_row(self, elem):
-        row = [self.field.zero] * self.dim
-        for m, c in elem.coeffs.items():
-            row[self.basis_index[m]] = c
-        return row
+        while level:
+            dims.append(len(level))
+            if len(dims) == self.s - 1:
+                break
+            rows = []
+            for u in level:
+                for g in gens:
+                    w = u * g
+                    if not _negligible_element(w, u.norm() * g.norm()):
+                        row = [field.zero] * dim
+                        for m, c in w.coeffs.items():
+                            row[self.basis_index[m]] = c
+                        rows.append(row)
+            rows, _ = rref_desc(rows, dim, field)
+            level = [
+                AlgebraElement(
+                    self,
+                    {
+                        self.quotient_basis[i]: c
+                        for i, c in enumerate(row)
+                        if not field.is_zero(c)
+                    },
+                )
+                for row in rows
+            ]
+        return tuple(dims)
 
     def height(self):
         """Smallest r such that the (r+1)-st power of the nilpotent ideal is 0."""
-        if self._height is None:
-            self._height = len(self._subspace_power_dims())
-            self._width = None
-        return self._height
+        return len(self._power_dims)
 
     def width(self):
         """Dimension of nil modulo nil^2."""
-        dims = self._subspace_power_dims()
-        self._height = len(dims)
-        if not dims:
-            return 0
-        return dims[0] - (dims[1] if len(dims) > 1 else 0)
+        dims = self._power_dims + (0, 0)
+        return dims[0] - dims[1]
 
 
 class AlgebraElement:
@@ -520,14 +490,18 @@ class AlgebraElement:
         r = 0
         power = self
         while not power.is_zero():
+            if r == self.algebra.s - 1:
+                raise AlgebraError("nilpotency iteration exceeded the truncation order")
             power = power * self
             r += 1
-            if r > self.algebra.height() + 1:
-                raise AlgebraError("nilpotency iteration exceeded the height bound")
         return r
 
     def inverse(self):
-        """Multiplicative inverse via the finite geometric series on the soul."""
+        """Multiplicative inverse via the finite geometric series on the soul.
+
+        The soul's s-th power vanishes in a degree-s truncation, so the series
+        has at most s-1 terms after the 1.
+        """
         field = self.algebra.field
         if self.parity() not in (EVEN, ZERO):
             raise ParityError("only even elements with non-zero body are invertible")
@@ -537,7 +511,7 @@ class AlgebraElement:
         u = self.soul().scale(1 / b)
         inv = self.algebra.one()
         term = self.algebra.one()
-        for _ in range(self.algebra.height()):
+        for _ in range(self.algebra.s - 1):
             term = term * (-u)
             if term.is_zero():
                 break

@@ -86,7 +86,8 @@ def trivial_point(domain, base, algebra):
 
 
 def analytic_lift(fn, a):
-    """f(body + soul) = sum f^(n)(body)/n! soul^n, truncated by nilpotency."""
+    """f(body + soul) = sum f^(n)(body)/n! soul^n, truncated by nilpotency:
+    soul^s = 0 in a degree-s truncation."""
     algebra = a.algebra
     field = algebra.field
     if a.parity() not in (EVEN, ZERO):
@@ -95,14 +96,12 @@ def analytic_lift(fn, a):
     soul = a.soul()
     out = algebra.scalar(field.nth_derivative(fn, 0, body))
     power = algebra.one()
-    n = 1
-    while True:
+    for n in range(1, algebra.s):
         power = power * soul
         if power.is_zero():
             break
         coef = field.nth_derivative(fn, n, body) / field.coerce(factorial(n))
         out = out + power.scale(coef)
-        n += 1
     return out
 
 

@@ -368,6 +368,10 @@ def main(argv=None):
     except (SuperWeilError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        # a long flat sum is a left-deep tree that the walkers recurse down
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

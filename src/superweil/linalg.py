@@ -38,7 +38,8 @@ def rref_desc(rows, ncols, field):
         piv = work[best]
         scale = piv[col]
         piv[:] = [c / scale for c in piv]
-        scale_norm = max((field.norm(c) for c in piv), default=1.0)
+        if not field.exact:
+            scale_norm = max((field.norm(c) for c in piv), default=1.0)
         for i, row in enumerate(work):
             if i == best or field.is_zero(row[col]):
                 continue

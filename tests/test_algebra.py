@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superweil import (
+    RATIONAL,
+    REAL,
     AlgebraError,
     ParityError,
     compose_morphisms,
@@ -22,6 +24,7 @@ from superweil import (
     scalar_projection,
     tensor,
 )
+from superweil.linalg import rref_desc
 
 def names(algebra):
     return [algebra.monomial_name(m) for m in algebra.quotient_basis]
@@ -172,6 +175,80 @@ class TestElements:
             assert v.is_zero()
 
 
+def brute_power_dims(algebra):
+    """Dims of nil, nil^2, ...: nil^(r+1) is spanned by the products of a
+    nil^r basis with every nil basis monomial.  On inexact fields a product
+    below 1e-9 of its left factor is float residue and is dropped."""
+    field = algebra.field
+    nil = [algebra.element({m: field.one}) for m in algebra.nil_monomials()]
+    level, dims = nil, []
+    while level:
+        assert len(dims) < algebra.s, "nil^s must vanish"
+        dims.append(len(level))
+        rows = {}
+        for u in level:
+            for v in nil:
+                w = u * v
+                if not w.is_zero() and (field.exact or w.norm() > 1e-9 * u.norm()):
+                    rows[tuple(w.coefficient(m) for m in algebra.quotient_basis)] = None
+        reduced, _ = rref_desc(list(rows), algebra.dim, field)
+        level = [algebra.element(dict(zip(algebra.quotient_basis, r))) for r in reduced]
+    return dims
+
+
+def _monomial_quotient(field):
+    a = make_truncated(1, 1, 3, field)
+    return quotient(a, [a.gen_even(1) * a.gen_odd(1)])[0]
+
+
+def _nonmonomial_quotient(field):
+    # the shape of the benchmark's quotient workload
+    a = make_truncated(3, 2, 5, field)
+    t1, t2, t3 = (a.gen_even(i) for i in (1, 2, 3))
+    z1, z2 = a.gen_odd(1), a.gen_odd(2)
+    c = [field.coerce(F(n, d)) for n, d in ((3, 7), (-5, 3), (2, 9), (7, 4))]
+    return quotient(a, [t1 * t2 * c[0] + t3 ** 2 * c[1], t1 * z1 * c[2] + t2 * z2 * c[3]])[0]
+
+
+def _residue_quotient(field):
+    # on REAL the products spanning nil^5 = 0 are float residue of about 4e-16
+    a = make_truncated(2, 1, 5, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    g = t1 ** 2 * field.coerce(2) - t2 ** 3 * field.coerce(F(1, 3)) + t1 * t2 * field.coerce(F(5, 7))
+    return quotient(a, [g])[0]
+
+
+def _deep_residue_quotient(field):
+    # height 4 in a degree-8 truncation: float residue would fill nil^5..nil^7
+    a = make_truncated(2, 1, 8, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    c = [field.coerce(x) for x in (F(-1, 3), F(1), F(-7, 3), F(5, 3))]
+    gens = [t1 ** 2 * c[0] - t2 ** 3 * c[1] + t1 * t2 * c[2], t1 * t2 ** 2 * c[3] + t2 ** 3]
+    return quotient(a, gens)[0]
+
+
+def _join(field):
+    b = make_truncated(2, 1, 5, field)
+    u1, u2 = b.gen_even(1), b.gen_even(2)
+    q1 = quotient(b, [u1 ** 2 * field.coerce(F(2, 3)) + u2 ** 3 * field.coerce(F(-1, 5))])[0]
+    q2 = quotient(b, [u1 * u2 * field.coerce(F(4, 3)) + u2 ** 2 * field.coerce(F(3, 2))])[0]
+    return join(q1, q2)[0]
+
+
+FAMILIES = {
+    "truncated": lambda field: make_truncated(2, 1, 5, field),
+    "grassmann": lambda field: make_grassmann(3, field),
+    "dual": make_dual_numbers,
+    "super-dual": make_super_dual_numbers,
+    "quotient-monomial": _monomial_quotient,
+    "quotient-nonmonomial": _nonmonomial_quotient,
+    "quotient-residue": _residue_quotient,
+    "quotient-deep-residue": _deep_residue_quotient,
+    "tensor": lambda field: tensor(make_truncated(2, 1, 3, field), make_truncated(1, 1, 3, field))[0],
+    "join": _join,
+}
+
+
 class TestHeightWidth:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_grassmann_height_width(self, q):
@@ -186,6 +263,20 @@ class TestHeightWidth:
     def test_scalars(self):
         a = make_truncated(0, 0, 1)
         assert (a.height(), a.width()) == (0, 0)
+
+    @pytest.mark.parametrize("field", [RATIONAL, REAL], ids=lambda f: f.name)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_height_width_by_brute_force(self, family, field):
+        a = FAMILIES[family](field)
+        dims = brute_power_dims(a) + [0, 0]
+        assert a.height() == dims.index(0)
+        assert a.width() == dims[0] - dims[1]
+
+    def test_real_quotient_with_float_residue(self):
+        a = FAMILIES["quotient-residue"](REAL)
+        assert (a.dim, a.height(), a.width()) == (16, 4, 3)
+        g = a.one() + a.gen_even(1)
+        assert (g * g.inverse() - a.one()).norm() < 1e-9
 
 
 class TestTensor:

@@ -10,12 +10,12 @@ import pytest
 CLI = [sys.executable, "-m", "superweil.cli"]
 
 
-def run(args, env_extra=None, check=False):
+def run(args, env_extra=None, check=False, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        CLI + args, capture_output=True, text=True, env=env
+        CLI + args, capture_output=True, text=True, env=env, timeout=timeout
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"command failed: {proc.stderr}")
@@ -67,6 +67,15 @@ class TestCommands:
         info = json.loads(proc.stdout)
         assert info["dim"] == 4
         assert info["basis"] == ["1", "z1", "t1", "t1^2"]
+
+    @pytest.mark.parametrize("field", ["rational", "real"])
+    def test_algebra_quotient_with_float_residue(self, field):
+        # on REAL the products spanning nil^5 are float residue, not zeros;
+        # the timeout makes a filtration that never empties fail, not stall
+        spec = "quot:trunc:2,1,5;2*t1^2-1/3*t2^3+5/7*t1*t2"
+        proc = run(["algebra", "--spec", spec, "--field", field], check=True, timeout=60)
+        info = json.loads(proc.stdout)
+        assert (info["dim"], info["height"], info["width"]) == (16, 4, 3)
 
     def test_algebra_tensor_spec(self):
         proc = run(["algebra", "--spec", "tensor:trunc:1,0,2,grassmann:1"], check=True)
@@ -212,6 +221,11 @@ class TestMalformedInput:
     def test_deep_parentheses_in_point(self, capsys):
         deep = "(" * 300 + "t1" + ")" * 300
         args = ["eval", "--algebra", "dual", "--point", f"x1={deep}", "--section", "x1"]
+        self.fails_cleanly(args, capsys)
+
+    def test_long_flat_sum(self, capsys):
+        flat = "+".join(["x1"] * 1500)
+        args = ["eval", "--algebra", "dual", "--point", "x1=1+t1", "--section", flat]
         self.fails_cleanly(args, capsys)
 
     @pytest.mark.parametrize("entry", ["sections", "points"])
