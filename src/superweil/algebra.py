@@ -3,8 +3,10 @@
 An algebra is presented inside a truncated ambient: polynomials in ``k`` even
 generators ``t1..tk`` and ``l`` odd generators ``z1..zl`` where every monomial
 of total degree ``>= s`` vanishes, further quotiented by a graded ideal.  The
-ideal is stored as a reduced row-echelon basis over the ambient monomials
-(pivot = leading monomial under degree-lex order, even generators before odd);
+ideal is stored as a reduced row-echelon basis over the ambient monomials,
+each row a sorted tuple of (ambient index, coefficient) pairs for its
+non-zero entries (pivot = leading monomial under degree-lex order, even
+generators before odd);
 the non-pivot monomials form the quotient basis and every product reduces to a
 coefficient vector over it.
 
@@ -140,12 +142,12 @@ class SuperWeilAlgebra:
         if ambient > MAX_AMBIENT_DIM:
             raise AlgebraError(
                 f"ambient dimension {ambient} exceeds the "
-                f"dense-representation cap {MAX_AMBIENT_DIM}"
+                f"ambient cap {MAX_AMBIENT_DIM}"
             )
         self.ambient_basis = _ambient_monomials(k, l, s)
         self._ambient_index = {m: i for i, m in enumerate(self.ambient_basis)}
-        ideal_rows, pivots = rref_desc(ideal_rows, len(self.ambient_basis), field)
-        self.ideal_rows = tuple(tuple(r) for r in ideal_rows)
+        ideal_rows, pivots = rref_desc(ideal_rows, field)
+        self.ideal_rows = tuple(tuple(sorted(r.items())) for r in ideal_rows)
         self.pivot_cols = tuple(pivots)
         if self._ambient_index.get(Monomial((0,) * k, 0)) in self.pivot_cols:
             raise AlgebraError("ideal contains a unit; the quotient collapses")
@@ -153,16 +155,11 @@ class SuperWeilAlgebra:
         # so -rest is the normal form of the pivot monomial
         self._reduction = {}
         for row, col in zip(self.ideal_rows, self.pivot_cols):
-            nf = {}
-            parities = set()
-            for i, c in enumerate(row):
-                if not field.is_zero(c):
-                    parities.add(self.ambient_basis[i].parity())
-                    if i != col:
-                        nf[self.ambient_basis[i]] = -c
-            if len(parities) > 1:
+            if len({self.ambient_basis[i].parity() for i, _ in row}) > 1:
                 raise ParityError("ideal row is not parity-homogeneous")
-            self._reduction[self.ambient_basis[col]] = nf
+            self._reduction[self.ambient_basis[col]] = {
+                self.ambient_basis[i]: -c for i, c in row if i != col
+            }
         self.quotient_basis = tuple(
             m for m in self.ambient_basis if m not in self._reduction
         )
@@ -302,7 +299,7 @@ class SuperWeilAlgebra:
         fields a product negligible at the scale of its factors is float
         residue of a zero product and is dropped before row reduction.
         """
-        field, dim = self.field, self.dim
+        field = self.field
         gens = [g for g in self.generators() if not g.is_zero()]
         level = [AlgebraElement(self, {m: field.one}) for m in self.nil_monomials()]
         dims = []
@@ -315,20 +312,11 @@ class SuperWeilAlgebra:
                 for g in gens:
                     w = u * g
                     if not _negligible_element(w, u.norm() * g.norm()):
-                        row = [field.zero] * dim
-                        for m, c in w.coeffs.items():
-                            row[self.basis_index[m]] = c
-                        rows.append(row)
-            rows, _ = rref_desc(rows, dim, field)
+                        rows.append({self.basis_index[m]: c for m, c in w.coeffs.items()})
+            rows, _ = rref_desc(rows, field)
+            # ascending basis order, so that float products sum in one order
             level = [
-                AlgebraElement(
-                    self,
-                    {
-                        self.quotient_basis[i]: c
-                        for i, c in enumerate(row)
-                        if not field.is_zero(c)
-                    },
-                )
+                AlgebraElement(self, {self.quotient_basis[i]: c for i, c in sorted(row.items())})
                 for row in rows
             ]
         return tuple(dims)
@@ -581,7 +569,7 @@ def quotient(ambient, gens):
     quotient basis.  Returns ``(quotient_algebra, projection_morphism)``.
     """
     field = ambient.field
-    rows = [list(r) for r in _embed_rows(ambient, ambient)]
+    rows = [dict(r) for r in ambient.ideal_rows]
     for g in gens:
         if g.algebra != ambient:
             raise AlgebraError("quotient generator is not an ambient element")
@@ -599,7 +587,7 @@ def quotient(ambient, gens):
         for m in ambient.quotient_basis:
             prod = g * AlgebraElement(ambient, {m: field.one})
             if not prod.is_zero():
-                rows.append(_ambient_row(ambient, prod))
+                rows.append({ambient._ambient_index[m]: c for m, c in prod.coeffs.items()})
     quo = SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)
     proj = make_morphism(
         ambient,
@@ -608,26 +596,6 @@ def quotient(ambient, gens):
         [quo.gen_odd(j) for j in range(1, ambient.l + 1)],
     )
     return quo, proj
-
-
-def _ambient_row(algebra, elem):
-    """Element written as a dense vector over the ambient monomial list."""
-    row = [algebra.field.zero] * len(algebra.ambient_basis)
-    for m, c in elem.coeffs.items():
-        row[algebra._ambient_index[m]] = c
-    return row
-
-
-def _embed_rows(src, dst):
-    """Re-index ideal rows of ``src`` into ``dst``'s ambient (same presentation)."""
-    out = []
-    for row in src.ideal_rows:
-        vec = [dst.field.zero] * len(dst.ambient_basis)
-        for i, c in enumerate(row):
-            if not src.field.is_zero(c):
-                vec[dst._ambient_index[src.ambient_basis[i]]] = c
-        out.append(vec)
-    return out
 
 
 def tensor(a, b):
@@ -652,11 +620,7 @@ def tensor(a, b):
     gens = []
     for src, embed in ((a, embed_a), (b, embed_b)):
         for row in src.ideal_rows:
-            coeffs = {}
-            for i, c in enumerate(row):
-                if not src.field.is_zero(c):
-                    coeffs[embed(src.ambient_basis[i])] = c
-            gens.append(ambient.element(coeffs))
+            gens.append(ambient.element({embed(src.ambient_basis[i]): c for i, c in row}))
         for m in _monomials_of_degree(src.k, src.l, src.s):
             if m.degree() < s:  # else structurally zero in the joint ambient
                 gens.append(ambient.element({embed(m): field.one}))
@@ -686,22 +650,18 @@ def join(a1, a2):
     if not a1.same_presentation(a2):
         raise AlgebraError("join needs both algebras over one common ambient")
     field = a1.field
-    ncols = len(a1.ambient_basis)
     rows = intersect_row_spaces(
-        [list(r) for r in a1.ideal_rows],
-        [list(r) for r in _embed_rows(a2, a1)],
-        ncols,
+        [dict(r) for r in a1.ideal_rows],
+        [dict(r) for r in a2.ideal_rows],
+        len(a1.ambient_basis),
         field,
     )
     # the intersection of graded subspaces is graded: split rows by parity
     graded = []
     for row in rows:
         for want in (0, 1):
-            part = [
-                c if a1.ambient_basis[i].parity() == want else field.zero
-                for i, c in enumerate(row)
-            ]
-            if any(not field.is_zero(c) for c in part):
+            part = {i: c for i, c in row.items() if a1.ambient_basis[i].parity() == want}
+            if part:
                 graded.append(part)
     joined = SuperWeilAlgebra(field, a1.k, a1.l, a1.s, graded)
     projections = tuple(
@@ -793,9 +753,8 @@ def make_morphism(source, target, even_images, odd_images, _validate=True):
             )
     for row in source.ideal_rows:
         acc = target.zero()
-        for i, c in enumerate(row):
-            if not field.is_zero(c):
-                acc = acc + rho.monomial_image(source.ambient_basis[i]).scale(c)
+        for i, c in row:
+            acc = acc + rho.monomial_image(source.ambient_basis[i]).scale(c)
         if not _negligible_element(acc, scale):
             raise AlgebraError("images are incompatible with a source relation")
     return rho

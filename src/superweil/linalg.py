@@ -1,30 +1,43 @@
-"""Dense row reduction over a scalar field.
+"""Sparse row reduction over a scalar field.
 
-Rows are plain Python lists.  Everything here is exact on the rational field;
-on the float fields a relative threshold decides negligibility.  The ideal
-machinery pivots on the *highest*-index column of each row (columns are
-ordered by the monomial order, so the pivot is the leading monomial).
+A row is a ``{column: coefficient}`` dict that holds its non-zero entries
+only.  Everything here is exact on the rational field; on the float fields a
+relative threshold decides negligibility.  The ideal machinery pivots on the
+*highest*-index column of each row (columns are ordered by the monomial
+order, so the pivot is the leading monomial).
 """
 
 from __future__ import annotations
 
 
-def rref_desc(rows, ncols, field):
+def rref_desc(rows, field):
     """Reduced row echelon form, scanning columns from the last to the first.
 
-    Returns ``(reduced_rows, pivot_cols)`` with one pivot per row, pivot
-    coefficient 1, pivot column eliminated from every other row.  Rows come
-    out sorted by decreasing pivot column; zero rows are dropped.
+    ``rows`` are ``{column: coefficient}`` mappings.  Returns
+    ``(reduced_rows, pivot_cols)`` with one pivot per row, pivot coefficient
+    1, pivot column eliminated from every other row.  Rows come out as dicts
+    sorted by decreasing pivot column; zero rows are dropped.  Exact fields
+    pivot on the first row in index order, float fields on the largest
+    magnitude, and there an entry negligible against the pivot row is dropped
+    after each elimination.
     """
-    work = [list(r) for r in rows]
+    work = [{j: c for j, c in r.items() if not field.is_zero(c)} for r in rows]
+    used = [False] * len(work)
     pivots = []
     out = []
-    used = [False] * len(work)
-    for col in range(ncols - 1, -1, -1):
+    col = None
+    while True:
+        col = max(
+            (j for i, row in enumerate(work) if not used[i] for j in row
+             if col is None or j < col),
+            default=None,
+        )
+        if col is None:
+            break
         best = -1
         best_norm = 0.0
         for i, row in enumerate(work):
-            if used[i] or field.is_zero(row[col]):
+            if used[i] or col not in row:
                 continue
             if field.exact:
                 best = i
@@ -35,90 +48,48 @@ def rref_desc(rows, ncols, field):
         if best < 0:
             continue
         used[best] = True
-        piv = work[best]
-        scale = piv[col]
-        piv[:] = [c / scale for c in piv]
-        if not field.exact:
-            scale_norm = max((field.norm(c) for c in piv), default=1.0)
+        scale = work[best][col]
+        piv = work[best] = {j: c / scale for j, c in work[best].items()}
+        scale_norm = 1.0 if field.exact else max(field.norm(c) for c in piv.values())
         for i, row in enumerate(work):
-            if i == best or field.is_zero(row[col]):
+            factor = row.get(col)
+            if i == best or factor is None:
                 continue
-            factor = row[col]
-            for j in range(ncols):
-                row[j] = row[j] - factor * piv[j]
-            if not field.exact:
-                for j in range(ncols):
-                    if field.negligible(row[j], scale_norm):
-                        row[j] = field.zero
+            for j, p in piv.items():
+                row[j] = row.get(j, field.zero) - factor * p
+            # exact fields can only zero the entries just touched; float
+            # fields drop whatever is negligible against the pivot row
+            for j in [j for j in (piv if field.exact else row)
+                      if field.negligible(row[j], scale_norm)]:
+                del row[j]
         out.append(piv)
         pivots.append(col)
     return out, pivots
 
 
-def kernel_basis(rows, ncols, field):
-    """Basis of the right kernel {x : M x = 0} of the matrix with given rows."""
-    work = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        best = -1
-        for i in range(rank, len(work)):
-            if not field.is_zero(work[i][col]):
-                best = i
-                break
-        if best < 0:
-            continue
-        work[rank], work[best] = work[best], work[rank]
-        piv = work[rank]
-        scale = piv[col]
-        piv[:] = [c / scale for c in piv]
-        for i, row in enumerate(work):
-            if i == rank or field.is_zero(row[col]):
-                continue
-            factor = row[col]
-            for j in range(ncols):
-                row[j] = row[j] - factor * piv[j]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for pc, r in pivots.items():
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def intersect_row_spaces(rows_a, rows_b, ncols, field):
-    """Basis (in descending-pivot RREF) of the intersection of two row spaces."""
+    """Basis (in descending-pivot RREF) of the intersection of two row spaces.
+
+    Zassenhaus: reduce the rows (u | u) for u in A and (v | 0) for v in B,
+    with the sum block shifted above ``ncols``; the reduced rows whose pivot
+    falls below ``ncols`` span the intersection.
+    """
     if not rows_a or not rows_b:
         return []
-    stacked = list(rows_a) + list(rows_b)
-    transposed = [[row[c] for row in stacked] for c in range(ncols)]
-    combos = kernel_basis(transposed, len(stacked), field)
-    vectors = []
-    for combo in combos:
-        vec = [field.zero] * ncols
-        for coef, row in zip(combo[: len(rows_a)], rows_a):
-            if field.is_zero(coef):
-                continue
-            for j in range(ncols):
-                vec[j] = vec[j] + coef * row[j]
-        vectors.append(vec)
-    reduced, _ = rref_desc(vectors, ncols, field)
-    return reduced
+    stacked = [{**{j + ncols: c for j, c in u.items()}, **u} for u in rows_a]
+    stacked += [{j + ncols: c for j, c in v.items()} for v in rows_b]
+    reduced, pivots = rref_desc(stacked, field)
+    return [row for row, col in zip(reduced, pivots) if col < ncols]
 
 
 def in_row_space(vector, rows, pivot_cols, field):
     """Whether ``vector`` lies in the span of descending-pivot RREF ``rows``."""
-    residue = list(vector)
+    residue = dict(vector)
     for row, col in zip(rows, pivot_cols):
-        factor = residue[col]
+        factor = residue.get(col, field.zero)
         if field.is_zero(factor):
             continue
-        for j in range(len(residue)):
-            residue[j] = residue[j] - factor * row[j]
-    scale = max((field.norm(c) for c in vector), default=1.0)
-    return all(field.negligible(c, scale) for c in residue)
+        for j, c in row.items():
+            residue[j] = residue.get(j, field.zero) - factor * c
+    scale = max((field.norm(c) for c in vector.values()), default=1.0)
+    return all(field.negligible(c, scale) for c in residue.values())

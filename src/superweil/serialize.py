@@ -83,13 +83,10 @@ def coeff_map_from_json(algebra, obj):
 
 def algebra_to_json(algebra: SuperWeilAlgebra):
     field = algebra.field
-    rows = []
-    for row in algebra.ideal_rows:
-        entry = {}
-        for i, c in enumerate(row):
-            if not field.is_zero(c):
-                entry[algebra.monomial_name(algebra.ambient_basis[i])] = field.to_json(c)
-        rows.append(entry)
+    rows = [
+        {algebra.monomial_name(algebra.ambient_basis[i]): field.to_json(c) for i, c in row}
+        for row in algebra.ideal_rows
+    ]
     return {
         "field": field.name,
         "k": algebra.k,

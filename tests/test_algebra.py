@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superweil import (
+    COMPLEX,
     RATIONAL,
     REAL,
     AlgebraError,
@@ -190,9 +191,13 @@ def brute_power_dims(algebra):
             for v in nil:
                 w = u * v
                 if not w.is_zero() and (field.exact or w.norm() > 1e-9 * u.norm()):
-                    rows[tuple(w.coefficient(m) for m in algebra.quotient_basis)] = None
-        reduced, _ = rref_desc(list(rows), algebra.dim, field)
-        level = [algebra.element(dict(zip(algebra.quotient_basis, r))) for r in reduced]
+                    key = tuple(sorted((algebra.basis_index[m], c) for m, c in w.coeffs.items()))
+                    rows[key] = None
+        reduced, _ = rref_desc([dict(r) for r in rows], field)
+        level = [
+            algebra.element({algebra.quotient_basis[j]: c for j, c in sorted(r.items())})
+            for r in reduced
+        ]
     return dims
 
 
@@ -264,7 +269,7 @@ class TestHeightWidth:
         a = make_truncated(0, 0, 1)
         assert (a.height(), a.width()) == (0, 0)
 
-    @pytest.mark.parametrize("field", [RATIONAL, REAL], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_height_width_by_brute_force(self, family, field):
         a = FAMILIES[family](field)
@@ -373,6 +378,32 @@ class TestMorphisms:
             assert left(v) == right(v)
 
 
+def _c(field, text):
+    return field.coerce(F(text))
+
+
+def _nested_mixed(field):
+    a = make_truncated(2, 2, 5, field)
+    t1, t2, z1, z2 = a.gen_even(1), a.gen_even(2), a.gen_odd(1), a.gen_odd(2)
+    g1 = t2 ** 3 * _c(field, "-9/2") + t1 * t2 ** 2 + t1 * t2 ** 3 * _c(field, "4/9")
+    g2 = (
+        t1 * z1 * z2 * _c(field, "7/5") - t1 ** 2 * t2 * _c(field, "9/2") + t2 ** 3 * _c(field, "9/2")
+    )
+    return quotient(a, [g1, g2])[0], quotient(a, [g1])[0], 36
+
+
+def _nested_even(field):
+    a = make_truncated(2, 0, 9, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    g1 = t1 * t2 * _c(field, "-4/9") + t2 ** 2 * _c(field, "3/4") + t1 ** 3 * t2 * _c(field, "2")
+    g2 = t2 ** 6 * _c(field, "-3")
+    return quotient(a, [g1, g2])[0], quotient(a, [g1])[0], 17
+
+
+# pairs (q, q2) with q2's ideal inside q's, and the RATIONAL dimension of q2
+NESTED_JOINS = {"mixed-2-2-5": _nested_mixed, "even-2-0-9": _nested_even}
+
+
 class TestJoin:
     def test_join_self(self):
         ambient = make_truncated(1, 0, 3)
@@ -399,6 +430,27 @@ class TestJoin:
         assert j.dim == 3
         assert p1(j.gen_odd(1)) == a1.gen_odd(1)
         assert p2(j.gen_even(1)) == a2.gen_even(1)
+
+    @pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+    @pytest.mark.parametrize("case", sorted(NESTED_JOINS))
+    def test_join_of_nested_quotients(self, case, field):
+        # q2's ideal lies inside q's, so the join is q2 itself
+        q, q2, dim = NESTED_JOINS[case](field)
+        j, _, _ = join(q, q2)
+        assert q2.dim == dim
+        assert j.dim == dim
+        assert len(j.ideal_rows) == len(q2.ideal_rows)
+
+    @pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+    def test_join_builds_float_projections(self, field):
+        b = make_truncated(2, 1, 7, field)
+        u1, u2 = b.gen_even(1), b.gen_even(2)
+        q1 = quotient(b, [u1 ** 2 * _c(field, "7/3") + u2 ** 3 * _c(field, "7/9")])[0]
+        q2 = quotient(b, [u1 * u2 * _c(field, "-3/7") - u2 ** 2])[0]
+        j, p1, p2 = join(q1, q2)
+        assert j.dim == 40
+        assert p1(j.gen_even(1)) == q1.gen_even(1)
+        assert p2(j.gen_even(2)) == q2.gen_even(2)
 
     def test_join_needs_common_presentation(self):
         with pytest.raises(AlgebraError):
