@@ -589,13 +589,7 @@ def quotient(ambient, gens):
             if not prod.is_zero():
                 rows.append({ambient._ambient_index[m]: c for m, c in prod.coeffs.items()})
     quo = SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)
-    proj = make_morphism(
-        ambient,
-        quo,
-        [quo.gen_even(i) for i in range(1, ambient.k + 1)],
-        [quo.gen_odd(j) for j in range(1, ambient.l + 1)],
-    )
-    return quo, proj
+    return quo, _generator_map(ambient, quo)
 
 
 def tensor(a, b):
@@ -625,19 +619,7 @@ def tensor(a, b):
             if m.degree() < s:  # else structurally zero in the joint ambient
                 gens.append(ambient.element({embed(m): field.one}))
     prod, _ = quotient(ambient, gens)
-    incl_a = make_morphism(
-        a,
-        prod,
-        [prod.gen_even(i) for i in range(1, a.k + 1)],
-        [prod.gen_odd(j) for j in range(1, a.l + 1)],
-    )
-    incl_b = make_morphism(
-        b,
-        prod,
-        [prod.gen_even(a.k + i) for i in range(1, b.k + 1)],
-        [prod.gen_odd(a.l + j) for j in range(1, b.l + 1)],
-    )
-    return prod, incl_a, incl_b
+    return prod, _generator_map(a, prod), _generator_map(b, prod, a.k, a.l)
 
 
 def join(a1, a2):
@@ -664,16 +646,7 @@ def join(a1, a2):
             if part:
                 graded.append(part)
     joined = SuperWeilAlgebra(field, a1.k, a1.l, a1.s, graded)
-    projections = tuple(
-        make_morphism(
-            joined,
-            target,
-            [target.gen_even(i) for i in range(1, joined.k + 1)],
-            [target.gen_odd(j) for j in range(1, joined.l + 1)],
-        )
-        for target in (a1, a2)
-    )
-    return joined, projections[0], projections[1]
+    return joined, _generator_map(joined, a1), _generator_map(joined, a2)
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -719,7 +692,7 @@ class AlgebraMorphism:
         return cached
 
 
-def make_morphism(source, target, even_images, odd_images, _validate=True):
+def make_morphism(source, target, even_images, odd_images):
     """The unique unital algebra map sending generators to the given images.
 
     Images must parity-match, have zero body, and kill every source relation
@@ -733,8 +706,6 @@ def make_morphism(source, target, even_images, odd_images, _validate=True):
     if source.field is not target.field:
         raise AlgebraError("morphism endpoints must share a scalar field")
     rho = AlgebraMorphism(source, target, even_images, odd_images)
-    if not _validate:
-        return rho
     field = target.field
     for v in even_images:
         if v.parity() not in (EVEN, ZERO):
@@ -758,6 +729,18 @@ def make_morphism(source, target, even_images, odd_images, _validate=True):
         if not _negligible_element(acc, scale):
             raise AlgebraError("images are incompatible with a source relation")
     return rho
+
+
+def _generator_map(source, target, even_offset=0, odd_offset=0):
+    """The canonical map sending t_i to t_(i + even_offset) and z_j to
+    z_(j + odd_offset); the constructors build it to satisfy every source
+    relation, so it is not checked against them."""
+    return AlgebraMorphism(
+        source,
+        target,
+        [target.gen_even(i + even_offset) for i in range(1, source.k + 1)],
+        [target.gen_odd(j + odd_offset) for j in range(1, source.l + 1)],
+    )
 
 
 def as_element(algebra, value):
@@ -791,32 +774,21 @@ def compose_morphisms(outer, inner):
     """outer ∘ inner (apply ``inner`` first)."""
     if inner.target != outer.source:
         raise AlgebraError("morphisms are not composable")
-    return make_morphism(
+    return AlgebraMorphism(
         inner.source,
         outer.target,
         [outer(v) for v in inner.even_images],
         [outer(v) for v in inner.odd_images],
-        _validate=False,
     )
 
 
 def identity_morphism(algebra):
-    return make_morphism(
-        algebra,
-        algebra,
-        [algebra.gen_even(i) for i in range(1, algebra.k + 1)],
-        [algebra.gen_odd(j) for j in range(1, algebra.l + 1)],
-        _validate=False,
-    )
+    return _generator_map(algebra, algebra)
 
 
 def scalar_projection(algebra):
     """The body map onto the trivial algebra K (all generators to zero)."""
     target = make_truncated(0, 0, 1, algebra.field)
-    return make_morphism(
-        algebra,
-        target,
-        [target.zero()] * algebra.k,
-        [target.zero()] * algebra.l,
-        _validate=False,
+    return AlgebraMorphism(
+        algebra, target, [target.zero()] * algebra.k, [target.zero()] * algebra.l
     )

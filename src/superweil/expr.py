@@ -53,10 +53,11 @@ class Expr:
         return int_pow(self, n)
 
     def __eq__(self, other):
-        return isinstance(other, Expr) and _struct_key(self) == _struct_key(other)
+        number = partial(_number_of, {})
+        return isinstance(other, Expr) and fold(self, number) == fold(other, number)
 
     def __hash__(self):
-        return hash(_struct_key(self))
+        return fold(self, _hash_of)
 
     def __repr__(self):
         return f"Expr({to_text(self)})"
@@ -281,8 +282,14 @@ def unknown_node(node):
     return ParseError(f"unknown expression node {type(node).__name__}")
 
 
-def _struct_key(e):
-    return fold(e, _key_of)
+def _number_of(table, n, *kids):
+    """Number of ``n``'s structure in ``table``: nodes with equal numbers are
+    structurally equal, so a DAG is compared in its number of distinct nodes."""
+    return table.setdefault(_key_of(n, *kids), len(table))
+
+
+def _hash_of(n, *kids):
+    return hash(_key_of(n, *kids))
 
 
 def _key_of(n, *keys):

@@ -49,7 +49,7 @@ class Field:
         raise NotImplementedError
 
     def from_json(self, value):
-        return self.coerce(value)
+        return _finite(self.coerce(value))
 
     def is_zero(self, value):
         return not value
@@ -121,7 +121,7 @@ class RationalField(Field):
             return Fraction(value)
         if isinstance(value, float):
             # exact binary value of the float; decimal strings go via parse()
-            return Fraction(value)
+            return Fraction(_finite(value))
         raise ParseError(f"cannot coerce {value!r} to a rational scalar")
 
     def parse(self, text):
@@ -153,7 +153,7 @@ class RealField(Field):
     def parse(self, text):
         try:
             return float(Fraction(text.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad real literal {text!r}") from exc
 
     def to_json(self, value):
@@ -172,12 +172,12 @@ class ComplexField(Field):
     def parse(self, text):
         text = text.strip()
         try:
-            return complex(text)
+            return _finite(complex(text))
         except ValueError:
             pass
         try:
             return complex(float(Fraction(text)))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad complex literal {text!r}") from exc
 
     def to_json(self, value):
@@ -185,8 +185,15 @@ class ComplexField(Field):
 
     def from_json(self, value):
         if isinstance(value, list):
-            return complex(value[0], value[1])
-        return self.coerce(value)
+            value = complex(value[0], value[1])
+        return super().from_json(value)
+
+
+def _finite(value):
+    """``value`` itself; a NaN or infinite float or complex scalar is a ParseError."""
+    if not cmath.isfinite(value):
+        raise ParseError(f"non-finite scalar {value!r}")
+    return value
 
 
 RATIONAL = RationalField()

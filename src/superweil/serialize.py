@@ -11,13 +11,7 @@ import json
 import re
 
 from . import expr as ex
-from .algebra import (
-    AlgebraElement,
-    Monomial,
-    SuperWeilAlgebra,
-    make_truncated,
-    quotient,
-)
+from .algebra import AlgebraElement, Monomial, SuperWeilAlgebra, make_truncated
 from .apoints import APoint, DomainMorphism, make_apoint, make_domain_morphism
 from .calculus import Derivation, Distribution, TangentVector, make_derivation, make_distribution
 from .errors import ParseError
@@ -28,10 +22,6 @@ from .superfunc import Section, SuperDomain, section
 WORKSPACE_SCHEMA = 1
 
 _MONOMIAL_TOKEN = re.compile(r"(t|z)(\d+)(?:\^(\d+))?")
-
-
-def monomial_key(algebra, m):
-    return algebra.monomial_name(m)
 
 
 def parse_monomial_key(algebra, key):
@@ -60,6 +50,8 @@ def parse_monomial_key(algebra, key):
             mask |= bit
     if pos != len(key):
         raise ParseError(f"bad monomial key {key!r}")
+    if sum(nu) + mask.bit_count() >= algebra.s:
+        raise ParseError(f"monomial {key!r} is at or beyond the truncation degree {algebra.s}")
     return Monomial(tuple(nu), mask)
 
 
@@ -69,7 +61,7 @@ def coeff_map_to_json(elem: AlgebraElement):
     out = {}
     for m in algebra.quotient_basis:
         if m in elem.coeffs:
-            out[monomial_key(algebra, m)] = field.to_json(elem.coeffs[m])
+            out[algebra.monomial_name(m)] = field.to_json(elem.coeffs[m])
     return out
 
 
@@ -97,19 +89,36 @@ def algebra_to_json(algebra: SuperWeilAlgebra):
 
 
 def algebra_from_json(obj):
+    """The algebra with the reduced ideal rows that :func:`algebra_to_json`
+    wrote.  The rows must span an ideal: a list that only generates one is
+    rejected, not closed."""
     field = field_by_name(obj["field"])
     ambient = make_truncated(obj["k"], obj["l"], obj["s"], field)
-    gens = []
-    for entry in obj.get("ideal", []):
-        coeffs = {
-            parse_monomial_key(ambient, key): field.from_json(value)
-            for key, value in entry.items()
-        }
-        gens.append(AlgebraElement(ambient, coeffs))
-    if not gens:
-        return ambient
-    result, _ = quotient(ambient, gens)
-    return result
+    rows = [
+        {ambient._ambient_index[parse_monomial_key(ambient, key)]: field.from_json(value)
+         for key, value in entry.items()}
+        for entry in obj.get("ideal", [])
+    ]
+    algebra = SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)
+    _check_spans_ideal(algebra)
+    return algebra
+
+
+def _check_spans_ideal(algebra):
+    """Every ideal row times every generator reduces to zero; on float fields,
+    to within 1e-9 of the largest summand."""
+    field, basis = algebra.field, algebra.ambient_basis
+    for row, pivot in zip(algebra.ideal_rows, algebra.pivot_cols):
+        for g in (m for m in basis if m.degree() == 1):
+            acc, scale = {}, 0.0
+            for i, c in row:
+                for m, v in algebra._mul_basis(basis[i], g).items():
+                    acc[m] = acc.get(m, field.zero) + c * v
+                    scale = max(scale, field.norm(c * v))
+            if any(v if field.exact else field.norm(v) > 1e-9 * scale for v in acc.values()):
+                name = algebra.monomial_name
+                raise ParseError(f"ideal rows do not span an ideal: the row with pivot "
+                                 f"{name(basis[pivot])} times {name(g)} is not in their span")
 
 
 def domain_to_json(domain: SuperDomain):

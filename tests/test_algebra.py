@@ -1,6 +1,8 @@
 """Algebra construction, normal-form arithmetic, morphisms, tensor and join."""
 
+import functools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -455,6 +457,73 @@ class TestJoin:
     def test_join_needs_common_presentation(self):
         with pytest.raises(AlgebraError):
             join(make_truncated(1, 0, 2), make_truncated(1, 0, 3))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+def test_float_quotient_builds_its_projection(field):
+    # normal-form coefficients grow large here; a REAL check of the projection
+    # against the truncation relations used to reject it
+    a = make_truncated(2, 0, 9, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    q, proj = quotient(a, [t1 ** 2 * _c(field, "2/9") + t2 ** 3 * _c(field, "9/8") - t1 * t2 * 2])
+    assert (q.dim, q.height()) == (17, 8)
+    assert proj(t1 * t2) == q.gen_even(1) * q.gen_even(2)
+
+
+# -- the canonical maps against the homomorphism laws ----------------------------
+
+
+@functools.cache
+def _canonical_maps(field):
+    a = make_truncated(2, 1, 4, field)
+    t1, t2, z1 = a.gen_even(1), a.gen_even(2), a.gen_odd(1)
+    gens = [t1 ** 2 * _c(field, "2/3") - t2 ** 2 * _c(field, "5/7") + t1 * t2, t1 * z1 + t2 * z1 * 3]
+    q, proj = quotient(a, gens)
+    q2, _ = quotient(a, [t1 * t2 * _c(field, "4/3") + t2 ** 2])
+    sd = make_super_dual_numbers(field)
+    qsd, incl_a, incl_b = tensor(q, sd)
+    j, join_1, join_2 = join(q, q2)
+    # each map with the source and target it must have
+    return {
+        "quotient": (proj, a, q),
+        "tensor-a": (incl_a, q, qsd),
+        "tensor-b": (incl_b, sd, qsd),
+        "join-1": (join_1, j, q),
+        "join-2": (join_2, j, q2),
+        "identity": (identity_morphism(q), q, q),
+        "scalar": (scalar_projection(q), q, make_truncated(0, 0, 1, field)),
+    }
+
+
+def _random_element(algebra, rng):
+    field = algebra.field
+    return algebra.element(
+        {m: field.coerce(F(rng.randint(-5, 5), rng.randint(1, 4))) for m in algebra.quotient_basis}
+    )
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ["quotient", "tensor-a", "tensor-b", "join-1", "join-2",
+                                  "identity", "scalar"])
+def test_canonical_maps_are_homomorphisms(name, field):
+    rho, source, target = _canonical_maps(field)[name]
+    assert (rho.source, rho.target) == (source, target)
+
+    def close(x, y):
+        if field.exact:
+            return x == y
+        return (x - y).norm() <= 1e-9 * max(1.0, x.norm(), y.norm())
+
+    rng = random.Random(5)
+    assert rho(source.one()) == target.one()
+    for _ in range(6):
+        a, b = _random_element(source, rng), _random_element(source, rng)
+        assert close(rho(a * b), rho(a) * rho(b))
+        assert close(rho(a + b), rho(a) + rho(b))
+        for part, want in ((a.even_part(), "even"), (a.odd_part(), "odd")):
+            assert rho(part).parity() in (want, "zero")
+    if field.exact:
+        assert make_morphism(source, target, rho.even_images, rho.odd_images) == rho
 
 
 # -- randomized laws ------------------------------------------------------------

@@ -262,6 +262,21 @@ class TestMalformedInput:
     def test_oversized_truncation_fails_before_enumerating(self, capsys):
         self.fails_cleanly(["algebra", "--spec", "trunc:10,10,20"], capsys)
 
+    @pytest.mark.parametrize("args", [
+        ["tangent", "--field", "real", "--base", "1e999", "--vE", "1", "--section", "x1"],
+        ["eval", "--field", "real", "--algebra", "trunc:1,0,3", "--point", "x1=1e999+t1",
+         "--section", "x1"],
+        ["tangent", "--field", "complex", "--base", "nan", "--vE", "1", "--section", "x1^2"],
+    ], ids=["real-overflow-base", "real-overflow-point", "complex-nan-base"])
+    def test_non_finite_scalar(self, args, capsys):
+        self.fails_cleanly(args, capsys)
+
+    def test_workspace_rows_that_only_generate_an_ideal(self, tmp_path, capsys):
+        algebra = {"field": "rational", "k": 1, "l": 0, "s": 5, "ideal": [{"t1^2": "1"}]}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"schema": 1, "algebras": {"q": algebra}}))
+        self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "@q"], capsys)
+
 
 def test_selftest_jobs_are_clamped(monkeypatch):
     import multiprocessing

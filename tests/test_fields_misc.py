@@ -8,6 +8,7 @@ import pytest
 from superweil import (
     AlgebraError,
     EvaluationError,
+    ParseError,
     SuperDomain,
     eval_ast,
     eval_classical,
@@ -95,6 +96,24 @@ class TestExprJson:
     def test_float_constant(self):
         e = ex.scalar_mul(0.25, ex.EvenCoord(1))
         assert expr_from_json(expr_to_json(e)) == e
+
+
+class TestNonFiniteScalars:
+    @pytest.mark.parametrize("field, text", [
+        ("real", "1e999"), ("real", "-1e999"), ("complex", "nan"), ("complex", "1e999"),
+        ("complex", "inf+1j"),
+    ])
+    def test_parse_rejects(self, field, text):
+        with pytest.raises(ParseError):
+            field_by_name(field).parse(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("real", float("nan")), ("real", float("-inf")), ("complex", [1.0, float("nan")]),
+        ("complex", float("inf")), ("rational", float("nan")), ("rational", float("inf")),
+    ])
+    def test_from_json_rejects(self, field, value):
+        with pytest.raises(ParseError):
+            field_by_name(field).from_json(value)
 
 
 class TestLimitsAndMismatches:

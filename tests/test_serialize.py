@@ -20,7 +20,7 @@ from superweil import (
     section,
     series_from_morphism,
 )
-from superweil.fields import RATIONAL, REAL
+from superweil.fields import COMPLEX, RATIONAL, REAL
 from superweil.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -81,6 +81,39 @@ class TestAlgebraJson:
             parse_monomial_key(a, "z1z1")
         with pytest.raises(ParseError):
             parse_monomial_key(a, "w1")
+        with pytest.raises(ParseError, match="truncation degree 3"):
+            parse_monomial_key(make_truncated(1, 1, 3), "t1^2z1")
+        with pytest.raises(ParseError, match="truncation degree 5"):
+            algebra_from_json({"field": "rational", "k": 1, "l": 0, "s": 5, "ideal": [{"t1^5": "1"}]})
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=lambda f: f.name)
+    def test_float_round_trip_keeps_the_saved_rows(self, field, tmp_path):
+        # re-closing the saved rows under multiplication used to reload this as dim 5
+        a = make_truncated(2, 0, 9, field)
+        t1, t2 = a.gen_even(1), a.gen_even(2)
+        c = [field.coerce(x) for x in (F(1, 3), F(6, 5))]
+        q, _ = quotient(a, [t1 ** 3 * c[0] - t1 ** 2 * c[1] - t2 ** 2 * c[0]])
+        saved = json.loads(json.dumps(algebra_to_json(q)))
+        again = algebra_from_json(saved)
+        assert again == q and again.dim == 17
+        if field is REAL:
+            assert algebra_to_json(again) == saved
+        ws = Workspace()
+        ws.algebras["q"] = q
+        ws.save(tmp_path / "ws.json")
+        assert Workspace.load(tmp_path / "ws.json") == ws
+
+    def test_rows_that_only_generate_an_ideal_are_rejected(self):
+        obj = {"field": "rational", "k": 1, "l": 0, "s": 5, "ideal": [{"t1^2": "1"}]}
+        with pytest.raises(ParseError, match="pivot t1\\^2 times t1 "):
+            algebra_from_json(obj)
+
+    @pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+    def test_non_finite_coefficient_is_rejected(self, field):
+        obj = {"field": field.name, "k": 1, "l": 0, "s": 4,
+               "ideal": [{"t1^2": float("nan")}, {"t1^3": 1.0}]}
+        with pytest.raises(ParseError, match="non-finite"):
+            algebra_from_json(json.loads(json.dumps(obj)))
 
 
 class TestValueJson:

@@ -2,6 +2,9 @@
 
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -241,6 +244,34 @@ def test_derivative_of_a_shared_dag_stays_small():
     assert len(seen) <= 4 * 16 + 4
     # classical evaluation walks the same DAG: d/dx x^(2^16) at 1 is 2^16
     assert eval_classical(Section(SuperDomain(1, 0), d), (F(1),)) == 2**16
+
+
+def test_equality_and_hash_of_a_shared_dag_are_linear():
+    # x1 squared 30 times: 31 distinct nodes that unfold to a tree of 2^31 - 1.
+    # In a subprocess with a timeout, so that an unfolding walk fails the test
+    # instead of hanging the suite.
+    code = textwrap.dedent("""
+        import time
+        from fractions import Fraction
+        from superweil import expr as ex
+
+        def squared(leaf, n=30):
+            for _ in range(n):
+                leaf = ex.Mul(leaf, leaf)
+            return leaf
+
+        start = time.perf_counter()
+        a, b = squared(ex.EvenCoord(1)), squared(ex.EvenCoord(1))
+        assert a == b and hash(a) == hash(b)
+        assert a != squared(ex.EvenCoord(2))
+        assert ex.Mul(a, ex.EvenCoord(1)) != ex.Mul(a, ex.EvenCoord(2))
+        assert ex.Const(1.0) == ex.Const(Fraction(1))
+        assert hash(ex.Const(1.0)) == hash(ex.Const(Fraction(1)))
+        print(time.perf_counter() - start)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.5
 
 
 def test_walks_leave_no_reference_cycles():
