@@ -202,10 +202,12 @@ def eval_taylor(x: APoint, s: Section):
         odd_prod = odds.get(mask)
         if odd_prod is None:
             continue
-        derivs = {}
+        # the values memo is keyed by node ids, so it lives beside the
+        # derivatives that keep its nodes alive, one per component
+        derivs, values = {}, {}
         for nu in sorted(souls, key=sum):
             expr_nu = mixed_partial(derivs, comp, nu)
-            value = eval_expr_classical(expr_nu, base, field)
+            value = eval_expr_classical(expr_nu, base, field, values)
             if field.is_zero(value):
                 continue
             coef = value / field.coerce(factorial_multi(nu))

@@ -8,7 +8,9 @@ checked at construction.
 
 from __future__ import annotations
 
+import math
 import re
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -22,10 +24,15 @@ class Expr:
     """Base expression node.  Operators build trees with constant folding.
 
     A node has ``arity`` children, ``a`` then ``b``; :func:`fold` is the one
-    walk over them.
+    walk over them.  Nodes are immutable and hash-consed: constructing a node
+    equal in class, payload and child identities to a live one returns that
+    node, so a DAG holds each structure once and a walk memoized by node
+    identity costs the number of distinct structures.  Equality and hashing
+    stay structural (``Const(1.0) == Const(Fraction(1))``), so two distinct
+    nodes may still compare equal.
     """
 
-    __slots__ = ("parity",)
+    __slots__ = ("parity", "__weakref__")
     arity = 0
 
     def __add__(self, other):
@@ -53,88 +60,163 @@ class Expr:
         return int_pow(self, n)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         number = partial(_number_of, {})
         return isinstance(other, Expr) and fold(self, number) == fold(other, number)
 
     def __hash__(self):
         return fold(self, _hash_of)
 
+    def __reduce__(self):
+        # a node class's slots are its constructor's arguments, in order, so
+        # unpickling and copying construct, and so re-intern, the node
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
     def __repr__(self):
         return f"Expr({to_text(self)})"
+
+
+# every live node, keyed by (class, payload, child ids); a child's id is
+# unique while the node holding it lives, and a dead node's entry goes with it.
+# A node enters only once its fields are set, so a thread never finds a half
+# built one; two threads racing on one key build two equal nodes.
+_NODES = weakref.WeakValueDictionary()
+
+
+def _number_key(v):
+    """A key equal for two numbers only when they are identical, in type and
+    in the sign of every zero part: 1.0 and Fraction(1), or 0.0 and -0.0,
+    stay apart.  A rational keys by its two ints, which hash far faster than
+    a Fraction."""
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    if isinstance(v, float):
+        return float, v, math.copysign(1.0, v)
+    if isinstance(v, complex):
+        return complex, v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
+    return type(v), v
+
+
+def _check_index(kind, i):
+    # an int, so that the key (class, i) names one node: 1.0 == 1 would
+    # otherwise hand back x1 for x1.0, or store x1.0 as x1
+    if not isinstance(i, int) or i < 1:
+        raise ParseError(f"{kind} coordinate index {i!r} must be an int >= 1")
 
 
 class EvenCoord(Expr):
     __slots__ = ("i",)
 
-    def __init__(self, i):
-        if i < 1:
-            raise ParseError(f"even coordinate index {i} must be >= 1")
-        self.i = i
-        self.parity = EVEN
+    def __new__(cls, i):
+        _check_index("even", i)
+        key = (cls, i)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.i = i
+            node.parity = EVEN
+            _NODES[key] = node
+        return node
 
 
 class OddCoord(Expr):
     __slots__ = ("j",)
 
-    def __init__(self, j):
-        if j < 1:
-            raise ParseError(f"odd coordinate index {j} must be >= 1")
-        self.j = j
-        self.parity = ODD
+    def __new__(cls, j):
+        _check_index("odd", j)
+        key = (cls, j)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.j = j
+            node.parity = ODD
+            _NODES[key] = node
+        return node
 
 
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, int):
             value = Fraction(value)
-        self.value = value
-        self.parity = EVEN
+        key = (cls, _number_key(value))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.value = value
+            node.parity = EVEN
+            _NODES[key] = node
+        return node
 
 
 class Add(Expr):
     __slots__ = ("a", "b")
     arity = 2
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-        self.parity = a.parity if a.parity == b.parity else MIXED
+    def __new__(cls, a, b):
+        key = (cls, id(a), id(b))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.a = a
+            node.b = b
+            node.parity = a.parity if a.parity == b.parity else MIXED
+            _NODES[key] = node
+        return node
 
 
 class Mul(Expr):
     __slots__ = ("a", "b")
     arity = 2
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-        if MIXED in (a.parity, b.parity):
-            self.parity = MIXED
-        else:
-            self.parity = ODD if a.parity != b.parity else EVEN
+    def __new__(cls, a, b):
+        key = (cls, id(a), id(b))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.a = a
+            node.b = b
+            if MIXED in (a.parity, b.parity):
+                node.parity = MIXED
+            else:
+                node.parity = ODD if a.parity != b.parity else EVEN
+            _NODES[key] = node
+        return node
 
 
 class Neg(Expr):
-    __slots__ = ("a")
+    __slots__ = ("a",)
     arity = 1
 
-    def __init__(self, a):
-        self.a = a
-        self.parity = a.parity
+    def __new__(cls, a):
+        key = (cls, id(a))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.a = a
+            node.parity = a.parity
+            _NODES[key] = node
+        return node
 
 
 class ScalarMul(Expr):
     __slots__ = ("c", "a")
     arity = 1
 
-    def __init__(self, c, a):
+    def __new__(cls, c, a):
         if isinstance(c, int):
             c = Fraction(c)
-        self.c = c
-        self.a = a
-        self.parity = a.parity
+        key = (cls, _number_key(c), id(a))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.c = c
+            node.a = a
+            node.parity = a.parity
+            _NODES[key] = node
+        return node
 
 
 class Apply(Expr):
@@ -143,28 +225,40 @@ class Apply(Expr):
     __slots__ = ("fn", "a")
     arity = 1
 
-    def __init__(self, fn, a):
-        if fn not in ANALYTIC_FUNCTIONS:
-            raise ParseError(f"unknown analytic function {fn!r}")
-        if a.parity != EVEN:
-            raise ParityError(f"{fn} needs an even operand, got {a.parity}")
-        self.fn = fn
-        self.a = a
-        self.parity = EVEN
+    def __new__(cls, fn, a):
+        key = (cls, fn, id(a))
+        node = _NODES.get(key)
+        if node is None:
+            if fn not in ANALYTIC_FUNCTIONS:
+                raise ParseError(f"unknown analytic function {fn!r}")
+            if a.parity != EVEN:
+                raise ParityError(f"{fn} needs an even operand, got {a.parity}")
+            node = object.__new__(cls)
+            node.fn = fn
+            node.a = a
+            node.parity = EVEN
+            _NODES[key] = node
+        return node
 
 
 class IntPow(Expr):
     __slots__ = ("a", "n")
     arity = 1
 
-    def __init__(self, a, n):
+    def __new__(cls, a, n):
         if not isinstance(n, int) or n < 0:
             raise ParseError("integer power needs a non-negative int exponent")
-        if a.parity != EVEN:
-            raise ParityError(f"integer power needs an even operand, got {a.parity}")
-        self.a = a
-        self.n = n
-        self.parity = EVEN
+        key = (cls, id(a), n)
+        node = _NODES.get(key)
+        if node is None:
+            if a.parity != EVEN:
+                raise ParityError(f"integer power needs an even operand, got {a.parity}")
+            node = object.__new__(cls)
+            node.a = a
+            node.n = n
+            node.parity = EVEN
+            _NODES[key] = node
+        return node
 
 
 ZERO = Const(Fraction(0))
@@ -247,20 +341,23 @@ def reciprocal(a):
 # -- the one traversal ---------------------------------------------------------
 
 
-def fold(e, visit):
+def fold(e, visit, done=None):
     """``visit(node, *child results)`` at every node of ``e``, children first,
     left to right; returns the result at ``e``.
 
-    Results at inner nodes are memoized by node identity for this call only,
-    so a shared subterm is visited once and a DAG costs its number of
-    distinct nodes, not the size of the tree it unfolds to.  Leaves are
-    cheap and are visited at each occurrence.
+    Results at inner nodes are memoized by node identity, so a shared
+    subterm is visited once and a DAG costs its number of distinct nodes,
+    not the size of the tree it unfolds to.  Leaves are cheap and are
+    visited at each occurrence.  The memo is this call's own unless ``done``,
+    a dict from node ids to results, is passed to share it across calls of
+    the same ``visit``; the caller must keep every node it has seen alive as
+    long as ``done``, since a freed node's id is reused.
     """
     if not e.arity:
         return visit(e)
     # a module-level helper, not a closure: a self-referencing closure would
     # be a reference cycle that keeps the memo alive until a GC pass
-    return _fold(e, visit, {})
+    return _fold(e, visit, {} if done is None else done)
 
 
 def _fold(node, visit, done):

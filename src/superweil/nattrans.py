@@ -116,9 +116,10 @@ def apply_series(series: TruncatedFormalSeries, x: APoint):
     base = x.base_point()
     out = []
     for cmap in series.coeffs:
-        terms = {}
+        # the series holds the slot's nodes, so one memo serves the slot
+        terms, values = {}, {}
         for (nu, indices), e in cmap.items():
-            value = eval_expr_classical(e, base, field)
+            value = eval_expr_classical(e, base, field, values)
             if not field.is_zero(value):
                 terms[(nu, indices)] = value
         out.append(contract_coefficients(x, terms))

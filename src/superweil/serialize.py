@@ -52,7 +52,13 @@ def parse_monomial_key(algebra, key):
         raise ParseError(f"bad monomial key {key!r}")
     if sum(nu) + mask.bit_count() >= algebra.s:
         raise ParseError(f"monomial {key!r} is at or beyond the truncation degree {algebra.s}")
-    return Monomial(tuple(nu), mask)
+    m = Monomial(tuple(nu), mask)
+    # only the names algebra_to_json writes: a reordered or repeated form
+    # would lose a reordering sign or collide with another key
+    name = algebra.monomial_name(m)
+    if key != name:
+        raise ParseError(f"monomial key {key!r} is not canonical; write {name!r}")
+    return m
 
 
 def coeff_map_to_json(elem: AlgebraElement):
@@ -92,12 +98,14 @@ def algebra_from_json(obj):
     """The algebra with the reduced ideal rows that :func:`algebra_to_json`
     wrote.  The rows must span an ideal: a list that only generates one is
     rejected, not closed."""
-    field = field_by_name(obj["field"])
-    ambient = make_truncated(obj["k"], obj["l"], obj["s"], field)
+    field = field_by_name(_typed(obj, "field", str, "algebra"))
+    k, l, s = (_typed(obj, key, int, "algebra") for key in ("k", "l", "s"))
+    ambient = make_truncated(k, l, s, field)
+    entries = _typed(obj, "ideal", list, "algebra")
     rows = [
         {ambient._ambient_index[parse_monomial_key(ambient, key)]: field.from_json(value)
-         for key, value in entry.items()}
-        for entry in obj.get("ideal", [])
+         for key, value in _typed(entries, n, dict, "algebra 'ideal' entry").items()}
+        for n in range(len(entries))
     ]
     algebra = SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)
     _check_spans_ideal(algebra)
@@ -283,6 +291,15 @@ def _lookup(obj, key, what):
         return obj[key]
     except (KeyError, IndexError, TypeError):
         raise ParseError(f"{what} has no {key!r}") from None
+
+
+def _typed(obj, key, kind, what):
+    """:func:`_lookup`, and a ParseError naming ``what`` and ``key`` unless
+    the value is a ``kind`` (a JSON true or false is no int)."""
+    value = _lookup(obj, key, what)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{what} {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 # -- workspace ---------------------------------------------------------------------

@@ -100,29 +100,46 @@ def section(domain, text_or_expr):
 # -- differentiation -------------------------------------------------------------
 
 
-def derive_expr_even(e, i):
-    """Partial derivative along x_i, chain rule through analytic nodes."""
+def derive_expr_even(e, i, memo=None):
+    """Partial derivative along x_i, chain rule through analytic nodes.
 
-    def visit(n, *d):
-        if isinstance(n, ex.EvenCoord):
-            return ex.ONE if n.i == i else ex.ZERO
-        if isinstance(n, (ex.OddCoord, ex.Const)):
-            return ex.ZERO
-        if isinstance(n, ex.Add):
-            return ex.add(*d)
-        if isinstance(n, ex.Neg):
-            return ex.neg(d[0])
-        if isinstance(n, ex.ScalarMul):
-            return ex.scalar_mul(n.c, d[0])
-        if isinstance(n, ex.Mul):
-            return ex.add(ex.mul(d[0], n.b), ex.mul(n.a, d[1]))
-        if isinstance(n, ex.IntPow):
-            return ex.scalar_mul(n.n, ex.mul(ex.int_pow(n.a, n.n - 1), d[0]))
-        if isinstance(n, ex.Apply):
-            return ex.mul(_analytic_derivative_expr(n), d[0])
+    Each distinct inner node is derived once.  ``memo`` maps
+    ``(id(node), i)`` to ``(node, derivative)``; pass one dict to several
+    calls to share the derivatives across them (holding the node keeps its
+    id from being reused while the entry lives).  Nodes are hash-consed, so
+    a tower of derivatives built through one memo derives each distinct
+    structure once.
+    """
+    return _derive_even(e, i, {} if memo is None else memo)
+
+
+def _derive_even(n, i, memo):
+    # leaves are cheap and skip the memo, as in expr.fold
+    if isinstance(n, ex.EvenCoord):
+        return ex.ONE if n.i == i else ex.ZERO
+    if isinstance(n, (ex.OddCoord, ex.Const)):
+        return ex.ZERO
+    key = (id(n), i)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    if isinstance(n, ex.Add):
+        d = ex.add(_derive_even(n.a, i, memo), _derive_even(n.b, i, memo))
+    elif isinstance(n, ex.Mul):
+        da, db = _derive_even(n.a, i, memo), _derive_even(n.b, i, memo)
+        d = ex.add(ex.mul(da, n.b), ex.mul(n.a, db))
+    elif isinstance(n, ex.Neg):
+        d = ex.neg(_derive_even(n.a, i, memo))
+    elif isinstance(n, ex.ScalarMul):
+        d = ex.scalar_mul(n.c, _derive_even(n.a, i, memo))
+    elif isinstance(n, ex.IntPow):
+        d = ex.scalar_mul(n.n, ex.mul(ex.int_pow(n.a, n.n - 1), _derive_even(n.a, i, memo)))
+    elif isinstance(n, ex.Apply):
+        d = ex.mul(_analytic_derivative_expr(n), _derive_even(n.a, i, memo))
+    else:
         raise ex.unknown_node(n)
-
-    return ex.fold(e, visit)
+    memo[key] = (n, d)
+    return d
 
 
 def _analytic_derivative_expr(node):
@@ -184,12 +201,18 @@ def super_derive(s: Section, var):
     raise ParityError("derivative variable must be an EvenCoord or OddCoord")
 
 
+# the key of mixed_partial's derivative memo in its cache, beside the (nu, J) keys
+_DERIVE_MEMO = "derive"
+
+
 def mixed_partial(cache, e, nu, indices=()):
     """d^nu (d^J e) for tuples nu and ascending J, memoized in ``cache``.
 
     One cache serves one expression ``e``.  Odd derivatives apply first, in
     ascending order; then each even step peels the first nonzero entry of nu,
-    so every entry is one derivative of an entry already in the cache.
+    so every entry is one derivative of an entry already in the cache.  The
+    cache also holds the node memo its even steps share (see
+    :func:`derive_expr_even`).
     """
     key = (nu, indices)
     out = cache.get(key)
@@ -197,7 +220,8 @@ def mixed_partial(cache, e, nu, indices=()):
         if any(nu):
             i = next(idx for idx, v in enumerate(nu) if v)
             parent = nu[:i] + (nu[i] - 1,) + nu[i + 1 :]
-            out = derive_expr_even(mixed_partial(cache, e, parent, indices), i + 1)
+            memo = cache.setdefault(_DERIVE_MEMO, {})
+            out = derive_expr_even(mixed_partial(cache, e, parent, indices), i + 1, memo)
         elif indices:
             out = derive_expr_odd(mixed_partial(cache, e, nu, indices[:-1]), indices[-1])
         else:
@@ -331,8 +355,13 @@ def components_to_expr(components):
 # -- classical evaluation -----------------------------------------------------------
 
 
-def eval_expr_classical(e, point, scalar_field):
-    """Evaluate with all odd coordinates at zero (the body of the section)."""
+def eval_expr_classical(e, point, scalar_field, memo=None):
+    """Evaluate with all odd coordinates at zero (the body of the section).
+
+    ``memo`` is :func:`expr.fold`'s: pass one dict to evaluations at the same
+    point and field to evaluate each distinct node once across them, while
+    the caller keeps every evaluated expression alive.
+    """
 
     def visit(n, *v):
         if isinstance(n, ex.Const):
@@ -359,7 +388,7 @@ def eval_expr_classical(e, point, scalar_field):
             return scalar_field.function_value(n.fn, v[0])
         raise ex.unknown_node(n)
 
-    return ex.fold(e, visit)
+    return ex.fold(e, visit, memo)
 
 
 def eval_classical(s: Section, point, scalar_field: Field = None):

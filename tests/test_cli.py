@@ -278,6 +278,17 @@ class TestMalformedInput:
         self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "@q"], capsys)
 
 
+    @pytest.mark.parametrize("algebra", [
+        {"field": "rational", "l": 0, "s": 3, "ideal": []},
+        {"field": "rational", "k": 1, "l": 0, "s": 3, "ideal": ["t1^2"]},
+        {"field": "rational", "k": "1", "l": 0, "s": 3, "ideal": []},
+    ], ids=["missing-k", "string-ideal-entry", "string-k"])
+    def test_workspace_malformed_algebra(self, algebra, tmp_path, capsys):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"schema": 1, "algebras": {"q": algebra}}))
+        self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "@q"], capsys)
+
+
 def test_selftest_jobs_are_clamped(monkeypatch):
     import multiprocessing
 

@@ -86,6 +86,28 @@ class TestAlgebraJson:
         with pytest.raises(ParseError, match="truncation degree 5"):
             algebra_from_json({"field": "rational", "k": 1, "l": 0, "s": 5, "ideal": [{"t1^5": "1"}]})
 
+    def test_non_canonical_monomial_keys_are_rejected(self):
+        # z2*z1 = -z1z2, and t1t1 and t1^2 name one monomial
+        with pytest.raises(ParseError, match="not canonical; write 'z1z2'"):
+            coeff_map_from_json(make_grassmann(2), {"z2z1": "1"})
+        with pytest.raises(ParseError, match="not canonical; write 't1\\^2'"):
+            coeff_map_from_json(make_truncated(1, 0, 5), {"t1t1": "1", "t1^2": "2"})
+        with pytest.raises(ParseError, match="not canonical"):
+            algebra_from_json({"field": "rational", "k": 1, "l": 2, "s": 4,
+                               "ideal": [{"z2z1": "1"}]})
+
+    @pytest.mark.parametrize("change, key", [
+        ({"k": None}, "'k'"),
+        ({"k": "1"}, "'k' must be int"),
+        ({"ideal": ["t1^2"]}, "'ideal' entry 0 must be dict"),
+    ], ids=["missing-k", "string-k", "string-ideal-entry"])
+    def test_malformed_algebra_json_names_the_key(self, change, key):
+        obj = {"field": "rational", "k": 1, "l": 0, "s": 3, "ideal": []}
+        obj.update(change)
+        obj = {k: v for k, v in obj.items() if v is not None}
+        with pytest.raises(ParseError, match=key):
+            algebra_from_json(obj)
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=lambda f: f.name)
     def test_float_round_trip_keeps_the_saved_rows(self, field, tmp_path):
         # re-closing the saved rows under multiplication used to reload this as dim 5

@@ -1,6 +1,8 @@
 """Expression parsing, parity, super derivatives, components, classical eval."""
 
+import copy
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -22,16 +24,21 @@ from superweil import (
     d_even,
     d_odd,
     eval_classical,
-    make_grassmann,
+    eval_taylor,
     make_apoint,
+    make_domain_morphism,
+    make_grassmann,
+    make_truncated,
     normalize_components,
     section,
+    series_from_morphism,
 )
 from superweil import expr as ex
 from superweil.apoints import eval_ast
 from superweil.battery import rand_polynomial_expr
 from superweil.expr import parse_expr, poly_dict, polynomials_equal, to_text
 from superweil.fields import REAL
+from superweil.nattrans import apply_series
 
 
 class TestParsing:
@@ -274,18 +281,100 @@ def test_equality_and_hash_of_a_shared_dag_are_linear():
     assert float(proc.stdout) < 0.5
 
 
+def test_taylor_jet_of_order_12_is_fast():
+    # the derivative tower of exp(sin(x1)*cos(x1)) has exponentially many
+    # nodes but polynomially many distinct structures; in a subprocess with a
+    # timeout, so that a walk over the nodes fails the test instead of
+    # hanging the suite
+    code = textwrap.dedent("""
+        import time
+        from superweil import REAL, SuperDomain, eval_ast, eval_taylor, section
+        from superweil import make_apoint, make_truncated
+
+        U = SuperDomain(1, 0)
+        s = section(U, "exp(sin(x1)*cos(x1))")
+        A = make_truncated(1, 0, 13, REAL)
+        x = make_apoint(U, A, [A.scalar(0.3) + A.gen_even(1)], [])
+        start = time.perf_counter()
+        jet = eval_taylor(x, s)
+        elapsed = time.perf_counter() - start
+        assert (jet - eval_ast(x, s)).norm() <= 1e-9
+        print(elapsed)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+def test_nodes_are_hash_consed_and_re_interned_by_pickle_and_copy():
+    e = parse_expr("exp(-0.0) + 2.5*x1*theta1", 1, 1)
+    zero, scaled = e.a.a, e.b.a
+    assert zero.value == 0.0 and math.copysign(1.0, zero.value) < 0
+    assert isinstance(scaled, ex.ScalarMul) and scaled.c == 2.5
+    assert parse_expr("exp(-0.0) + 2.5*x1*theta1", 1, 1) is e
+    # equal numbers of another type or zero sign are other, equal nodes
+    assert zero is not ex.Const(0.0) and zero == ex.Const(0.0)
+    assert ex.Const(1.0) is not ex.Const(F(1)) and ex.Const(1.0) == ex.Const(F(1))
+    for again in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert again is e
+    s = Section(SuperDomain(1, 1), e)
+    assert pickle.loads(pickle.dumps(s)).expr is e and copy.deepcopy(s).expr is e
+
+
+def test_threads_racing_on_the_intern_table_build_equal_nodes():
+    # a race on the intern table may build two equal nodes, never a wrong or
+    # half-built one; the threads build the same fresh nodes in lockstep
+    import threading
+
+    U, threads, rounds = SuperDomain(1, 0), 4, 20
+
+    def towers(out, start):
+        texts = []
+        for k in range(rounds):
+            start.wait()
+            d = section(U, f"exp(sin(x1)*cos({k + 1}/7*x1)) + x1^3")
+            for _ in range(3):
+                d = d_even(d, 1)
+                texts.append((to_text(d.expr), eval_classical(d, (0.3,))))
+        out.append(texts)
+
+    want, got = [], []
+    towers(want, threading.Barrier(1))
+    start = threading.Barrier(threads, timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=towers, args=(got, start)) for _ in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * threads
+
+
 def test_walks_leave_no_reference_cycles():
-    # a memo kept alive by a cycle would outlive the call until a GC pass
+    # a memo kept alive by a cycle would outlive the call until a GC pass; a
+    # derivative memo kept on the nodes would be one, since the derivative of
+    # exp(u) holds exp(u) itself
     import gc
 
-    s = section(SuperDomain(1, 1), "x1*x1*theta1 + exp(x1)")
+    U = SuperDomain(1, 1)
+    A = make_truncated(1, 1, 4, REAL)
+    x = make_apoint(U, A, [A.scalar(0.5) + A.gen_even(1)], [A.gen_odd(1)])
     gc.collect()
     gc.disable()
     try:
-        for _ in range(20):
+        for k in range(20):
+            s = section(U, f"x1*x1*theta1 + exp({k + 1}/7*x1)")
             eval_classical(d_even(s, 1), (0.5,))
             normalize_components(s)
             to_text(s.expr)
+            eval_taylor(x, s)
+            phi = make_domain_morphism(U, U, [f"x1*x1 + {k + 1}/7*sin(x1)", "theta1*exp(x1)"])
+            apply_series(series_from_morphism(phi, 4), x)
         assert gc.collect() == 0
     finally:
         gc.enable()
