@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .errors import AlgebraError, ParityError
@@ -50,6 +51,15 @@ class Monomial(NamedTuple):
         return not self.odd and not any(self.nu)
 
 
+class _Unit(tuple):
+    """A product-table entry ((monomial, sign),): sign times one quotient basis
+    monomial.  The class marks it for the product kernel, which multiplies in
+    no sign; read as pairs it is a normal form like any other entry.  A bare
+    tuple subclass, so building one costs no Python-level call."""
+
+    __slots__ = ()
+
+
 def merge_sign(mask_a, mask_b):
     """Sign (+1/-1) from sorting the concatenation of two ascending odd blocks.
 
@@ -69,7 +79,7 @@ def mul_monomials(a, b):
     """(sign, product) in the free supercommutative algebra; (0, None) if a z repeats."""
     if a.odd & b.odd:
         return 0, None
-    nu = tuple(x + y for x, y in zip(a.nu, b.nu))
+    nu = tuple(map(add, a.nu, b.nu))
     return merge_sign(a.odd, b.odd), Monomial(nu, a.odd | b.odd)
 
 
@@ -164,7 +174,9 @@ class SuperWeilAlgebra:
             m for m in self.ambient_basis if m not in self._reduction
         )
         self.basis_index = {m: i for i, m in enumerate(self.quotient_basis)}
-        self._pair_cache = {}
+        # the product table: _products[m1][m2] is _product_entry(m1, m2),
+        # filled on first use
+        self._products = {}
         self._signature = (field.name, k, l, s, self.ideal_rows)
 
     # -- basic structure ------------------------------------------------
@@ -268,19 +280,19 @@ class SuperWeilAlgebra:
             return {m: self.field.one}
         return self._reduction[m]
 
-    def _mul_basis(self, m1, m2):
-        key = (m1, m2)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
+    def _product_entry(self, m1, m2):
+        """m1 * m2 as a product-table entry, a tuple of (quotient monomial,
+        coefficient) pairs: () when it is zero, a _Unit when it is +-(one basis
+        monomial), else its signed normal form."""
         sign, prod = mul_monomials(m1, m2)
-        if prod is None or prod.degree() >= self.s:
-            result = {}
-        else:
-            nf = self._normal_form(prod)
-            result = nf if sign == 1 else {m: -c for m, c in nf.items()}
-        self._pair_cache[key] = result
-        return result
+        if prod in self.basis_index:
+            return _Unit(((prod, sign),))
+        # an ambient monomial is a basis monomial or a pivot; anything else
+        # repeats a z (prod is None) or has degree >= s
+        nf = self._reduction.get(prod)
+        if not nf:
+            return ()
+        return tuple(nf.items()) if sign == 1 else tuple((m, -c) for m, c in nf.items())
 
     # -- derived structure ---------------------------------------------------
 
@@ -350,14 +362,18 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             other = self.algebra.scalar(other)
         self._check_same(other)
-        field = self.algebra.field
+        is_zero = self.algebra.field.is_zero
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            v = out.get(m, field.zero) + c
-            if field.is_zero(v):
-                out.pop(m, None)
+            old = out.get(m)
+            if old is None:
+                out[m] = c
             else:
-                out[m] = v
+                v = old + c
+                if is_zero(v):
+                    del out[m]
+                else:
+                    out[m] = v
         return AlgebraElement(self.algebra, out)
 
     __radd__ = __add__
@@ -377,19 +393,40 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._check_same(other)
-        field = self.algebra.field
+        algebra = self.algebra
+        is_zero = algebra.field.is_zero
+        products = algebra._products
+        right = other.coeffs.items()
         out = {}
-        mul_basis = self.algebra._mul_basis
+        # a zero entry costs no coefficient arithmetic, a unit entry one
+        # product and no multiply by +-1; a slot's first term is stored as is
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                c12 = c1 * c2
-                for m, c in mul_basis(m1, m2).items():
-                    v = out.get(m, field.zero) + c12 * c
-                    if field.is_zero(v):
-                        out.pop(m, None)
-                    else:
-                        out[m] = v
-        return AlgebraElement(self.algebra, out)
+            row = products.get(m1)
+            if row is None:
+                row = products[m1] = {}
+            for m2, c2 in right:
+                entry = row.get(m2)
+                if entry is None:
+                    entry = row[m2] = algebra._product_entry(m1, m2)
+                if not entry:
+                    continue
+                if entry.__class__ is _Unit:
+                    ((m, sign),) = entry
+                    terms = ((m, c1 * c2 if sign == 1 else -(c1 * c2)),)
+                else:
+                    c12 = c1 * c2
+                    terms = [(m, c12 * c) for m, c in entry]
+                for m, v in terms:
+                    old = out.get(m)
+                    if old is not None:
+                        v = old + v
+                        if is_zero(v):
+                            del out[m]
+                            continue
+                    elif is_zero(v):
+                        continue
+                    out[m] = v
+        return AlgebraElement(algebra, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -716,17 +753,24 @@ def make_morphism(source, target, even_images, odd_images):
         if v.parity() not in (ODD, ZERO):
             raise ParityError("image of an odd generator must be odd")
     scale = max([v.norm() for v in even_images + odd_images], default=1.0)
+    # float error in an image grows with the coefficients of the target's
+    # normal forms, which its products are reduced by, and in a relation with
+    # the relation's own coefficients
+    nf_scale = max([1.0] + [field.norm(c) for nf in target._reduction.values()
+                            for c in nf.values()])
     for m in _monomials_of_degree(source.k, source.l, source.s):
         img = rho.monomial_image(m)
-        if not _negligible_element(img, scale ** max(m.degree(), 1)):
+        if not _negligible_element(img, nf_scale * scale ** max(m.degree(), 1)):
             raise AlgebraError(
                 f"images violate the truncation relation {source.monomial_name(m)} = 0"
             )
     for row in source.ideal_rows:
-        acc = target.zero()
+        acc, row_scale = target.zero(), 0.0
         for i, c in row:
-            acc = acc + rho.monomial_image(source.ambient_basis[i]).scale(c)
-        if not _negligible_element(acc, scale):
+            m = source.ambient_basis[i]
+            acc = acc + rho.monomial_image(m).scale(c)
+            row_scale = max(row_scale, field.norm(c) * scale ** m.degree())
+        if not _negligible_element(acc, nf_scale * row_scale):
             raise AlgebraError("images are incompatible with a source relation")
     return rho
 

@@ -77,11 +77,25 @@ class Expr:
         return f"Expr({to_text(self)})"
 
 
-# every live node, keyed by (class, payload, child ids); a child's id is
-# unique while the node holding it lives, and a dead node's entry goes with it.
-# A node enters only once its fields are set, so a thread never finds a half
-# built one; two threads racing on one key build two equal nodes.
-_NODES = weakref.WeakValueDictionary()
+# every live node as a weak reference, keyed by (class, payload, child ids); a
+# child's id is unique while the node holding it lives, and a dead node's
+# entry goes with it.  A node enters only once its fields are set, so a
+# thread never finds a half built one; two threads racing on one key build
+# two equal nodes.  A plain dict of refs: WeakValueDictionary's Python-level
+# get and set cost as much as building the node.
+_NODES = {}
+
+
+def _dead():
+    """What a missing entry dereferences to, like the ref of a dead node."""
+    return None
+
+
+def _drop(key, ref):
+    """Removal callback of a node's entry: a node built for the same key after
+    this one died may already hold the entry, so only ``ref`` itself goes."""
+    if _NODES.get(key) is ref:
+        _NODES.pop(key, None)
 
 
 def _number_key(v):
@@ -111,12 +125,12 @@ class EvenCoord(Expr):
     def __new__(cls, i):
         _check_index("even", i)
         key = (cls, i)
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.i = i
             node.parity = EVEN
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -126,12 +140,12 @@ class OddCoord(Expr):
     def __new__(cls, j):
         _check_index("odd", j)
         key = (cls, j)
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.j = j
             node.parity = ODD
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -142,12 +156,12 @@ class Const(Expr):
         if isinstance(value, int):
             value = Fraction(value)
         key = (cls, _number_key(value))
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.value = value
             node.parity = EVEN
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -157,13 +171,13 @@ class Add(Expr):
 
     def __new__(cls, a, b):
         key = (cls, id(a), id(b))
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.a = a
             node.b = b
             node.parity = a.parity if a.parity == b.parity else MIXED
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -173,7 +187,7 @@ class Mul(Expr):
 
     def __new__(cls, a, b):
         key = (cls, id(a), id(b))
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.a = a
@@ -182,7 +196,7 @@ class Mul(Expr):
                 node.parity = MIXED
             else:
                 node.parity = ODD if a.parity != b.parity else EVEN
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -192,12 +206,12 @@ class Neg(Expr):
 
     def __new__(cls, a):
         key = (cls, id(a))
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.a = a
             node.parity = a.parity
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -209,13 +223,13 @@ class ScalarMul(Expr):
         if isinstance(c, int):
             c = Fraction(c)
         key = (cls, _number_key(c), id(a))
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             node = object.__new__(cls)
             node.c = c
             node.a = a
             node.parity = a.parity
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -227,7 +241,7 @@ class Apply(Expr):
 
     def __new__(cls, fn, a):
         key = (cls, fn, id(a))
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             if fn not in ANALYTIC_FUNCTIONS:
                 raise ParseError(f"unknown analytic function {fn!r}")
@@ -237,7 +251,7 @@ class Apply(Expr):
             node.fn = fn
             node.a = a
             node.parity = EVEN
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
@@ -249,7 +263,7 @@ class IntPow(Expr):
         if not isinstance(n, int) or n < 0:
             raise ParseError("integer power needs a non-negative int exponent")
         key = (cls, id(a), n)
-        node = _NODES.get(key)
+        node = _NODES.get(key, _dead)()
         if node is None:
             if a.parity != EVEN:
                 raise ParityError(f"integer power needs an even operand, got {a.parity}")
@@ -257,7 +271,7 @@ class IntPow(Expr):
             node.a = a
             node.n = n
             node.parity = EVEN
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 

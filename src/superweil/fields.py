@@ -49,7 +49,11 @@ class Field:
         raise NotImplementedError
 
     def from_json(self, value):
-        return _finite(self.coerce(value))
+        try:
+            value = self.coerce(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"bad {self.name} scalar {value!r}") from None
+        return _finite(value)
 
     def is_zero(self, value):
         return not value
@@ -185,7 +189,9 @@ class ComplexField(Field):
 
     def from_json(self, value):
         if isinstance(value, list):
-            value = complex(value[0], value[1])
+            if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
+                raise ParseError(f"complex scalar {value!r} is not an [re, im] pair of numbers")
+            value = complex(*value)
         return super().from_json(value)
 
 

@@ -120,7 +120,7 @@ def _check_spans_ideal(algebra):
         for g in (m for m in basis if m.degree() == 1):
             acc, scale = {}, 0.0
             for i, c in row:
-                for m, v in algebra._mul_basis(basis[i], g).items():
+                for m, v in algebra._product_entry(basis[i], g):
                     acc[m] = acc.get(m, field.zero) + c * v
                     scale = max(scale, field.norm(c * v))
             if any(v if field.exact else field.norm(v) > 1e-9 * scale for v in acc.values()):

@@ -27,6 +27,7 @@ from superweil import (
     scalar_projection,
     tensor,
 )
+from superweil.algebra import mul_monomials
 from superweil.linalg import rref_desc
 
 def names(algebra):
@@ -470,6 +471,24 @@ def test_float_quotient_builds_its_projection(field):
     assert proj(t1 * t2) == q.gen_even(1) * q.gen_even(2)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+def test_hand_built_maps_into_a_float_quotient(field):
+    # the tolerance scales with the quotient's normal-form coefficients (up to
+    # about 2.7e7 here), whose float error an absolute one mistook for a violation
+    a = make_truncated(2, 0, 9, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    q, proj = quotient(a, [t1 ** 2 * _c(field, "2/9") + t2 ** 3 * _c(field, "9/8") - t1 * t2 * 2])
+    u1, u2 = q.gen_even(1), q.gen_even(2)
+    assert make_morphism(a, q, [u1, u2], []).even_images == proj.even_images
+    make_morphism(q, q, [u1, u2], [])
+    for wrong in ([u1, u2 * 2], [u2, u1]):
+        with pytest.raises(AlgebraError, match="source relation"):
+            make_morphism(q, q, wrong, [])
+    cubic = make_truncated(1, 0, 4, field)
+    with pytest.raises(AlgebraError, match="truncation relation t1\\^2"):
+        make_morphism(make_dual_numbers(field), cubic, [cubic.gen_even(1)], [])
+
+
 # -- the canonical maps against the homomorphism laws ----------------------------
 
 
@@ -575,3 +594,82 @@ def test_scalar_plus_nil_decomposition(data, which):
     assert algebra.scalar(a.body()) + a.soul() == a
     pr = scalar_projection(algebra)
     assert pr(a) == pr.target.scalar(a.body())
+
+
+# -- the product table against a reference product ---------------------------------
+
+
+def _reference_product(a, b):
+    """a * b summed term pair by term pair from mul_monomials and the normal
+    form, in the kernel's (m1, m2) order, with no table."""
+    algebra, field = a.algebra, a.algebra.field
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            sign, prod = mul_monomials(m1, m2)
+            if prod is None:
+                continue
+            for m, c in algebra._normal_form(prod).items():
+                v = out.get(m, field.zero) + c1 * c2 * (c if sign == 1 else -c)
+                if field.is_zero(v):
+                    out.pop(m, None)
+                else:
+                    out[m] = v
+    return out
+
+
+@functools.cache
+def _product_families(field):
+    a = make_truncated(2, 1, 5, field)
+    t1, t2, z1 = a.gen_even(1), a.gen_even(2), a.gen_odd(1)
+    q1 = quotient(a, [t1 * t2 * _c(field, "3/4") + t2 ** 2,
+                      t1 * z1 - t2 * z1 * _c(field, "2/5")])[0]
+    q2 = quotient(a, [t1 ** 2 * _c(field, "-7/3") + t1 * t2])[0]
+    return {
+        "truncated": make_truncated(2, 2, 4, field),
+        "grassmann": make_grassmann(4, field),
+        "superdual": make_super_dual_numbers(field),
+        "monomial-quotient": quotient(a, [t1 ** 2, t2 * z1])[0],
+        "quotient": q1,
+        "tensor": tensor(q2, make_super_dual_numbers(field))[0],
+        "join": join(q1, q2)[0],
+    }
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+@pytest.mark.parametrize("family", ["truncated", "grassmann", "superdual", "monomial-quotient",
+                                    "quotient", "tensor", "join"])
+def test_products_match_the_reference_product(family, field):
+    algebra = _product_families(field)[family]
+    basis = algebra.quotient_basis
+    rng = random.Random(family)
+    zero_pairs = 0
+    for _ in range(40):
+        a, b = (
+            algebra.element({m: field.coerce(F(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+                             for m in rng.sample(basis, min(rng.randint(1, 6), len(basis)))})
+            for _ in range(2)
+        )
+        zero_pairs += sum(algebra._product_entry(m1, m2) == ()
+                          for m1 in a.coeffs for m2 in b.coeffs)
+        want, got = _reference_product(a, b), (a * b).coeffs
+        assert got == want
+        if field is REAL:
+            # the same floats in the same order, so the same repr and the
+            # same later sums
+            assert list(got.items()) == list(want.items())
+    assert zero_pairs
+    if not field.exact:
+        # term products that underflow to zero leave no zero coefficient
+        tiny = algebra.element({m: field.coerce(1e-200) for m in basis[:3]})
+        assert (tiny * tiny).coeffs == _reference_product(tiny, tiny) == {}
+
+
+def test_the_product_table_fills_one_entry_per_new_pair():
+    a = make_truncated(2, 1, 4)
+    t1, z1 = a.gen_even(1), a.gen_odd(1)
+    tz = t1 * z1
+    assert (tz * z1).is_zero()
+    (m_t,), (m_z,), (m_tz,) = t1.coeffs, z1.coeffs, tz.coeffs
+    # one entry per pair multiplied, none filled ahead of use
+    assert a._products == {m_t: {m_z: ((m_tz, 1),)}, m_tz: {m_z: ()}}

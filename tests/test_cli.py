@@ -288,6 +288,13 @@ class TestMalformedInput:
         path.write_text(json.dumps({"schema": 1, "algebras": {"q": algebra}}))
         self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "@q"], capsys)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_workspace_list_scalar(self, field, tmp_path, capsys):
+        algebra = {"field": field, "k": 1, "l": 0, "s": 5, "ideal": [{"t1^4": [1]}]}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"schema": 1, "algebras": {"q": algebra}}))
+        self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "@q"], capsys)
+
 
 def test_selftest_jobs_are_clamped(monkeypatch):
     import multiprocessing

@@ -115,6 +115,15 @@ class TestNonFiniteScalars:
         with pytest.raises(ParseError):
             field_by_name(field).from_json(value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("real", [1]), ("real", [1.0, 2.0]), ("real", None), ("real", {"re": 1}), ("real", "one"),
+        ("complex", [1]), ("complex", [1, 2, 3]), ("complex", ["1", 2]), ("complex", [[1], 0]),
+        ("complex", None), ("complex", {"re": 1}),
+    ])
+    def test_from_json_rejects_malformed_scalars(self, field, value):
+        with pytest.raises(ParseError):
+            field_by_name(field).from_json(value)
+
 
 class TestLimitsAndMismatches:
     def test_dimension_cap(self):

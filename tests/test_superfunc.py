@@ -378,3 +378,25 @@ def test_walks_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_dead_nodes_leave_the_intern_table():
+    from superweil.superfunc import derive_expr_even
+
+    before = len(ex._NODES)
+    e = parse_expr("exp(sin(3/2*x1^2)+x1)", 1, 0)
+    for _ in range(6):
+        e = derive_expr_even(e, 1)
+    assert len(ex._NODES) > before
+    del e
+    assert len(ex._NODES) == before
+    # a node built again after its key's node died is interned afresh, and a
+    # stale removal callback for that key leaves the new entry alone
+    x = ex.EvenCoord(97)
+    key = (ex.EvenCoord, 97)
+    stale = ex._NODES[key]
+    del x
+    assert key not in ex._NODES
+    x = ex.EvenCoord(97)
+    ex._drop(key, stale)
+    assert ex._NODES[key]() is x and ex.EvenCoord(97) is x
