@@ -435,7 +435,10 @@ class AlgebraElement:
         c = self.algebra.field.coerce(c)
         if self.algebra.field.is_zero(c):
             return self.algebra.zero()
-        return AlgebraElement(self.algebra, {m: c * v for m, v in self.coeffs.items()})
+        # a float product can underflow to zero; like __mul__, keep no zero
+        # (a scalar is zero exactly when it is falsy, see Field.is_zero)
+        items = self.coeffs.items()
+        return AlgebraElement(self.algebra, {m: cv for m, v in items if (cv := c * v)})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

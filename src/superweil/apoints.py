@@ -26,11 +26,10 @@ from .superfunc import (
     Section,
     SuperDomain,
     eval_expr_classical,
-    factorial_multi,
     indices_to_mask,
-    mixed_partial,
     normalize_components,
     section,
+    taylor_terms,
 )
 
 
@@ -180,7 +179,7 @@ def odd_value_products(x: APoint):
 
 
 def eval_taylor(x: APoint, s: Section):
-    """Formal Taylor expansion around the base point.
+    """The section's Taylor series at the base point, contracted.
 
     x(s) = sum over nu, J of (1/nu!) (d^nu s_J)(base) * soul^nu * theta^J,
     with s_J the even components of s and theta^J the ascending product of
@@ -189,45 +188,35 @@ def eval_taylor(x: APoint, s: Section):
     """
     if not x.domain.same_dims(s.domain):
         raise RegionError("section and point live on different domains")
-    algebra = x.algebra
-    field = algebra.field
+    x.domain.require_contains(x.base_point(), x.algebra.field)
+    souls = soul_power_table(x)
+    odds = odd_value_products(x)
+    nus = sorted(souls, key=sum)
+    terms = {
+        (nu, indices): term
+        for indices, comp in normalize_components(s).items()
+        if indices_to_mask(indices) in odds
+        for (nu, _), term in taylor_terms(comp, nus).items()
+    }
+    # the term map keeps every evaluated root alive, so one memo serves it
+    return contract_terms(x, terms, souls, odds, {})
+
+
+def contract_terms(x: APoint, terms, souls, odds, values):
+    """sum of (t(base) / n) * soul^nu * theta^J over a {(nu, J): (Expr t, int n)}
+    term map, given x's soul and odd tables and a classical-value memo; a term
+    whose soul power or odd product vanishes is not evaluated."""
+    field = x.algebra.field
     base = x.base_point()
-    x.domain.require_contains(base, field)
-    souls = soul_power_table(x)
-    odds = odd_value_products(x)
-    components = normalize_components(s)
-    out = algebra.zero()
-    for indices, comp in components.items():
-        mask = indices_to_mask(indices)
-        odd_prod = odds.get(mask)
-        if odd_prod is None:
-            continue
-        # the values memo is keyed by node ids, so it lives beside the
-        # derivatives that keep its nodes alive, one per component
-        derivs, values = {}, {}
-        for nu in sorted(souls, key=sum):
-            expr_nu = mixed_partial(derivs, comp, nu)
-            value = eval_expr_classical(expr_nu, base, field, values)
-            if field.is_zero(value):
-                continue
-            coef = value / field.coerce(factorial_multi(nu))
-            out = out + (souls[nu] * odd_prod).scale(coef)
-    return out
-
-
-def contract_coefficients(x: APoint, terms):
-    """sum of c * soul^nu * theta^J over a {(nu, J): scalar} map."""
-    algebra = x.algebra
-    field = algebra.field
-    souls = soul_power_table(x)
-    odds = odd_value_products(x)
-    out = algebra.zero()
-    for (nu, indices), c in terms.items():
-        sp = souls.get(tuple(nu))
+    out = x.algebra.zero()
+    for (nu, indices), (e, n) in terms.items():
+        sp = souls.get(nu)
         op = odds.get(indices_to_mask(indices))
-        if sp is None or op is None or field.is_zero(field.coerce(c)):
+        if sp is None or op is None:
             continue
-        out = out + (sp * op).scale(c)
+        value = eval_expr_classical(e, base, field, values)
+        if not field.is_zero(value):
+            out = out + (sp * op).scale(value / field.coerce(n))
     return out
 
 

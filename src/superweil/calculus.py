@@ -37,7 +37,7 @@ from .superfunc import (
     factorial_multi,
     indices_to_mask,
     mask_to_indices,
-    mixed_partial,
+    taylor_terms,
 )
 
 
@@ -246,11 +246,6 @@ def pair_distribution(dist: Distribution, s: Section, field: Field = None):
     return total
 
 
-def symbolic_mixed_partial(s: Section, nu, indices):
-    """d^nu (d^J s) with odd derivatives first (ascending), then even ones."""
-    return Section(s.domain, mixed_partial({}, s.expr, tuple(nu), tuple(indices)))
-
-
 def functional_through_point(omega, x: APoint, s: Section):
     """omega(x(s)) for a linear functional over the algebra's quotient basis."""
     algebra = x.algebra
@@ -318,20 +313,17 @@ def check_transitivity(s: Section, x: APoint, a: SuperWeilAlgebra, b0: SuperWeil
 
     delta_point = APoint(x.domain, prod, delta_even, delta_odd)
     soul_powers = soul_power_table(delta_point)  # delta_even are nilpotent and even
-
     odd_products = odd_value_products(delta_point)
+    js = sorted(map(mask_to_indices, odd_products), key=lambda c: (len(c), c))
     staged = prod.zero()
-    derivs = {}
-    for indices in sorted(map(mask_to_indices, odd_products), key=lambda c: (len(c), c)):
+    for (nu, indices), (d, n) in taylor_terms(s.expr, sorted(soul_powers, key=sum), js).items():
+        inner_value = eval_ast(y, Section(s.domain, d))
+        if inner_value.is_zero():
+            continue
+        # odd increments multiply from the left: expanding theta_j -> w+e
+        # factors the evaluation as (w+e) * eval(rest), so e^J precedes
+        # the evaluated derivative (the even block commutes)
         odd_prod = odd_products[indices_to_mask(indices)]
-        for nu in sorted(soul_powers, key=sum):
-            expr_nu = mixed_partial(derivs, s.expr, nu, indices)
-            inner_value = eval_ast(y, Section(s.domain, expr_nu))
-            if inner_value.is_zero():
-                continue
-            # odd increments multiply from the left: expanding theta_j -> w+e
-            # factors the evaluation as (w+e) * eval(rest), so e^J precedes
-            # the evaluated derivative (the even block commutes)
-            term = odd_prod * inner_value * soul_powers[nu]
-            staged = staged + term.scale(field.coerce(1) / field.coerce(factorial_multi(nu)))
+        term = odd_prod * inner_value * soul_powers[nu]
+        staged = staged + term.scale(field.coerce(1) / field.coerce(n))
     return (direct - staged).norm()

@@ -49,6 +49,9 @@ class Field:
         raise NotImplementedError
 
     def from_json(self, value):
+        # to_json writes no JSON true or false, and a string only on RATIONAL
+        if isinstance(value, (bool, str)):
+            raise ParseError(f"bad {self.name} scalar {value!r}")
         try:
             value = self.coerce(value)
         except (TypeError, ValueError, OverflowError):
@@ -140,6 +143,8 @@ class RationalField(Field):
     def from_json(self, value):
         if isinstance(value, str):
             return self.parse(value)
+        if isinstance(value, bool):
+            raise ParseError(f"bad rational scalar {value!r}")
         return self.coerce(value)
 
 
@@ -189,7 +194,9 @@ class ComplexField(Field):
 
     def from_json(self, value):
         if isinstance(value, list):
-            if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
+            if len(value) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+            ):
                 raise ParseError(f"complex scalar {value!r} is not an [re, im] pair of numbers")
             value = complex(*value)
         return super().from_json(value)

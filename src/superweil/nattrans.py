@@ -16,15 +16,14 @@ from fractions import Fraction
 
 from . import expr as ex
 from .algebra import exponents_up_to
-from .apoints import APoint, DomainMorphism, contract_coefficients
+from .apoints import APoint, DomainMorphism, contract_terms, odd_value_products, soul_power_table
 from .errors import AlgebraError, EvaluationError, ParityError, RegionError
 from .fields import Field, infer_field
 from .superfunc import (
     derive_expr_even,
     eval_expr_classical,
-    factorial_multi,
-    mixed_partial,
     normalize_components,
+    taylor_terms,
 )
 
 NECESSITY_NOTE = (
@@ -83,19 +82,16 @@ def series_from_morphism(phi: DomainMorphism, order: int) -> TruncatedFormalSeri
     """Taylor coefficients (1/nu!) d^nu s_{k,J} of each pullback component."""
     p, q = phi.source.p, phi.source.q
     m, n = phi.target.p, phi.target.q
-    slots = []
-    for pb in phi.pullbacks:
-        cmap = {}
-        for indices, comp in normalize_components(pb).items():
-            derivs = {}
-            for nu in exponents_up_to(p, order):
-                e = mixed_partial(derivs, comp, nu)
-                if ex.is_zero_const(e):
-                    continue
-                scale = Fraction(1, factorial_multi(nu))
-                cmap[(nu, indices)] = ex.scalar_mul(scale, e)
-        slots.append(cmap)
-    return TruncatedFormalSeries((p, q), (m, n), order, tuple(slots))
+    nus = tuple(exponents_up_to(p, order))
+    slots = tuple(
+        {
+            (nu, indices): ex.scalar_mul(Fraction(1, fact), d)
+            for indices, comp in normalize_components(pb).items()
+            for (nu, _), (d, fact) in taylor_terms(comp, nus).items()
+        }
+        for pb in phi.pullbacks
+    )
+    return TruncatedFormalSeries((p, q), (m, n), order, slots)
 
 
 def apply_series(series: TruncatedFormalSeries, x: APoint):
@@ -112,18 +108,14 @@ def apply_series(series: TruncatedFormalSeries, x: APoint):
             f"algebra height {x.algebra.height()} exceeds the truncation order "
             f"{series.order}"
         )
-    field = x.algebra.field
-    base = x.base_point()
-    out = []
-    for cmap in series.coeffs:
-        # the series holds the slot's nodes, so one memo serves the slot
-        terms, values = {}, {}
-        for (nu, indices), e in cmap.items():
-            value = eval_expr_classical(e, base, field, values)
-            if not field.is_zero(value):
-                terms[(nu, indices)] = value
-        out.append(contract_coefficients(x, terms))
-    return out
+    souls = soul_power_table(x)
+    odds = odd_value_products(x)
+    # the series keeps every evaluated root alive, so one memo serves it
+    values = {}
+    return [
+        contract_terms(x, {key: (e, 1) for key, e in cmap.items()}, souls, odds, values)
+        for cmap in series.coeffs
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from numbers import Real
 
 from . import expr as ex
 from .algebra import AlgebraElement, Monomial, SuperWeilAlgebra, make_truncated
@@ -101,11 +102,10 @@ def algebra_from_json(obj):
     field = field_by_name(_typed(obj, "field", str, "algebra"))
     k, l, s = (_typed(obj, key, int, "algebra") for key in ("k", "l", "s"))
     ambient = make_truncated(k, l, s, field)
-    entries = _typed(obj, "ideal", list, "algebra")
     rows = [
         {ambient._ambient_index[parse_monomial_key(ambient, key)]: field.from_json(value)
-         for key, value in _typed(entries, n, dict, "algebra 'ideal' entry").items()}
-        for n in range(len(entries))
+         for key, value in entry.items()}
+        for entry in _typed_list(obj, "ideal", dict, "algebra")
     ]
     algebra = SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)
     _check_spans_ideal(algebra)
@@ -139,10 +139,22 @@ def domain_to_json(domain: SuperDomain):
 
 
 def domain_from_json(obj):
+    p, q = (_typed(obj, key, int, "domain") for key in ("p", "q"))
     box = obj.get("box")
     if box is not None:
-        box = tuple(tuple(iv) if iv is not None else None for iv in box)
-    return SuperDomain(obj["p"], obj["q"], box)
+        box = tuple(_interval(iv) for iv in _typed(obj, "box", list, "domain"))
+    return SuperDomain(p, q, box)
+
+
+def _interval(iv):
+    """A domain box entry: null, or [lo, hi] with each end a real number or null."""
+    if iv is None:
+        return None
+    if not isinstance(iv, list) or len(iv) != 2 or not all(
+        v is None or isinstance(v, Real) and not isinstance(v, bool) for v in iv
+    ):
+        raise ParseError(f"domain 'box' entry {iv!r} is not a [lo, hi] pair of numbers or nulls")
+    return tuple(iv)
 
 
 def section_to_json(s: Section):
@@ -150,8 +162,8 @@ def section_to_json(s: Section):
 
 
 def section_from_json(obj):
-    domain = domain_from_json(obj["domain"])
-    return section(domain, obj["expr"])
+    domain = domain_from_json(_lookup(obj, "domain", "section"))
+    return section(domain, _typed(obj, "expr", str, "section"))
 
 
 def apoint_to_json(x: APoint):
@@ -165,11 +177,10 @@ def apoint_to_json(x: APoint):
 
 def apoint_from_json(obj, algebra=None, domain=None):
     if algebra is None:
-        algebra = algebra_from_json(obj["algebra"])
+        algebra = algebra_from_json(_lookup(obj, "algebra", "point"))
     if domain is None:
-        domain = domain_from_json(obj["domain"])
-    even = [coeff_map_from_json(algebra, v) for v in obj["even"]]
-    odd = [coeff_map_from_json(algebra, v) for v in obj["odd"]]
+        domain = domain_from_json(_lookup(obj, "domain", "point"))
+    even, odd = (_elements(algebra, obj, key, "point") for key in ("even", "odd"))
     return make_apoint(domain, algebra, even, odd)
 
 
@@ -182,9 +193,9 @@ def domain_morphism_to_json(phi: DomainMorphism):
 
 
 def domain_morphism_from_json(obj):
-    source = domain_from_json(obj["source"])
-    target = domain_from_json(obj["target"])
-    return make_domain_morphism(source, target, obj["pullbacks"])
+    source = domain_from_json(_lookup(obj, "source", "morphism"))
+    target = domain_from_json(_lookup(obj, "target", "morphism"))
+    return make_domain_morphism(source, target, _typed_list(obj, "pullbacks", str, "morphism"))
 
 
 def tangent_to_json(tv: TangentVector, field):
@@ -198,10 +209,8 @@ def tangent_to_json(tv: TangentVector, field):
 
 def tangent_from_json(obj, field):
     return TangentVector(
-        domain_from_json(obj["domain"]),
-        tuple(field.from_json(v) for v in obj["base"]),
-        tuple(field.from_json(v) for v in obj["v_even"]),
-        tuple(field.from_json(v) for v in obj["v_odd"]),
+        domain_from_json(_lookup(obj, "domain", "tangent")),
+        *(_scalars(field, obj, key, "tangent") for key in ("base", "v_even", "v_odd")),
     )
 
 
@@ -215,14 +224,9 @@ def derivation_to_json(d: Derivation):
 
 
 def derivation_from_json(obj):
-    at = apoint_from_json(obj["at"])
-    algebra = at.algebra
-    return make_derivation(
-        at,
-        [coeff_map_from_json(algebra, c) for c in obj["f_even"]],
-        [coeff_map_from_json(algebra, c) for c in obj["f_odd"]],
-        obj["parity"],
-    )
+    at = apoint_from_json(_lookup(obj, "at", "derivation"))
+    f_even, f_odd = (_elements(at.algebra, obj, key, "derivation") for key in ("f_even", "f_odd"))
+    return make_derivation(at, f_even, f_odd, _typed(obj, "parity", str, "derivation"))
 
 
 def distribution_to_json(dist: Distribution, field):
@@ -238,14 +242,15 @@ def distribution_to_json(dist: Distribution, field):
 
 
 def distribution_from_json(obj, field):
-    coeffs = {
-        (tuple(entry["nu"]), tuple(entry["J"])): field.from_json(entry["a"])
-        for entry in obj["coeffs"]
-    }
+    coeffs = {}
+    for entry in _typed_list(obj, "coeffs", dict, "distribution"):
+        nu, js = (tuple(_typed_list(entry, key, int, "distribution coefficient"))
+                  for key in ("nu", "J"))
+        coeffs[(nu, js)] = field.from_json(_lookup(entry, "a", "distribution coefficient"))
     return make_distribution(
-        domain_from_json(obj["domain"]),
-        tuple(field.from_json(v) for v in obj["base"]),
-        obj["order"],
+        domain_from_json(_lookup(obj, "domain", "distribution")),
+        _scalars(field, obj, "base", "distribution"),
+        _typed(obj, "order", int, "distribution"),
         coeffs,
     )
 
@@ -267,16 +272,24 @@ def series_to_json(series: TruncatedFormalSeries):
 
 
 def series_from_json(obj):
-    p, q = _lookup(obj, "source", "series")
+    (p, q), target = (_series_dims(obj, key) for key in ("source", "target"))
     slots = []
-    for entries in _lookup(obj, "slots", "series"):
+    for entries in _typed_list(obj, "slots", list, "series"):
         cmap = {}
-        for entry in entries:
-            nu, indices, text = (_lookup(entry, k, "series entry") for k in ("nu", "J", "expr"))
-            cmap[(tuple(nu), tuple(indices))] = ex.parse_expr(text, p, None)
+        for i in range(len(entries)):
+            entry = _typed(entries, i, dict, "series slot entry")
+            nu, indices = (tuple(_typed_list(entry, k, int, "series entry")) for k in ("nu", "J"))
+            cmap[(nu, indices)] = ex.parse_expr(_typed(entry, "expr", str, "series entry"), p, None)
         slots.append(cmap)
-    target, order = _lookup(obj, "target", "series"), _lookup(obj, "order", "series")
-    return TruncatedFormalSeries((p, q), tuple(target), order, tuple(slots))
+    order = _typed(obj, "order", int, "series")
+    return TruncatedFormalSeries((p, q), target, order, tuple(slots))
+
+
+def _series_dims(obj, key):
+    dims = _typed_list(obj, key, int, "series")
+    if len(dims) != 2:
+        raise ParseError(f"series {key!r} must be a [p, q] pair, got {dims!r}")
+    return tuple(dims)
 
 
 def _named(registry, entry, field, what):
@@ -300,6 +313,25 @@ def _typed(obj, key, kind, what):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"{what} {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _typed_list(obj, key, kind, what):
+    """The list ``obj[key]``, every entry checked by :func:`_typed`."""
+    items = _typed(obj, key, list, what)
+    return [_typed(items, i, kind, f"{what} {key!r} entry") for i in range(len(items))]
+
+
+def _scalars(field, obj, key, what):
+    return tuple(field.from_json(v) for v in _typed(obj, key, list, what))
+
+
+def _elements(algebra, obj, key, what):
+    return [coeff_map_from_json(algebra, m) for m in _typed_list(obj, key, dict, what)]
+
+
+def _registry(obj, key):
+    """A workspace's named ``key`` entries as (name, entry) pairs; none when absent."""
+    return _typed(obj, key, dict, "workspace").items() if key in obj else ()
 
 
 # -- workspace ---------------------------------------------------------------------
@@ -364,30 +396,27 @@ class Workspace:
 
     @classmethod
     def from_json(cls, obj):
-        if obj.get("schema") != WORKSPACE_SCHEMA:
-            raise ParseError(f"unsupported workspace schema {obj.get('schema')!r}")
+        schema = _lookup(obj, "schema", "workspace")
+        if schema != WORKSPACE_SCHEMA:
+            raise ParseError(f"unsupported workspace schema {schema!r}")
         ws = cls()
-        ws.algebras = {n: algebra_from_json(a) for n, a in obj.get("algebras", {}).items()}
-        ws.domains = {n: domain_from_json(d) for n, d in obj.get("domains", {}).items()}
-        for n, entry in obj.get("sections", {}).items():
+        ws.algebras = {n: algebra_from_json(a) for n, a in _registry(obj, "algebras")}
+        ws.domains = {n: domain_from_json(d) for n, d in _registry(obj, "domains")}
+        for n, entry in _registry(obj, "sections"):
             domain = _named(ws.domains, entry, "domain", f"section {n}")
-            ws.sections[n] = section(domain, _lookup(entry, "expr", f"section {n}"))
-        for n, entry in obj.get("points", {}).items():
+            ws.sections[n] = section(domain, _typed(entry, "expr", str, f"section {n}"))
+        for n, entry in _registry(obj, "points"):
             domain = _named(ws.domains, entry, "domain", f"point {n}")
             algebra = _named(ws.algebras, entry, "algebra", f"point {n}")
-            ws.points[n] = make_apoint(
-                domain,
-                algebra,
-                [coeff_map_from_json(algebra, v) for v in entry["even"]],
-                [coeff_map_from_json(algebra, v) for v in entry["odd"]],
-            )
-        for n, entry in obj.get("morphisms", {}).items():
+            even, odd = (_elements(algebra, entry, key, f"point {n}") for key in ("even", "odd"))
+            ws.points[n] = make_apoint(domain, algebra, even, odd)
+        for n, entry in _registry(obj, "morphisms"):
             ws.morphisms[n] = make_domain_morphism(
                 _named(ws.domains, entry, "source", f"morphism {n}"),
                 _named(ws.domains, entry, "target", f"morphism {n}"),
-                _lookup(entry, "pullbacks", f"morphism {n}"),
+                _typed_list(entry, "pullbacks", str, f"morphism {n}"),
             )
-        ws.series = {n: series_from_json(f) for n, f in obj.get("series", {}).items()}
+        ws.series = {n: series_from_json(f) for n, f in _registry(obj, "series")}
         return ws
 
     def save(self, path):

@@ -230,6 +230,18 @@ def mixed_partial(cache, e, nu, indices=()):
     return out
 
 
+def taylor_terms(e, nus, js=((),)):
+    """{(nu, J): (d^nu d^J e, nu!)}, J outer and nu inner, with one
+    :func:`mixed_partial` cache for all terms; syntactic zeros are left out."""
+    cache, out = {}, {}
+    for indices in js:
+        for nu in nus:
+            d = mixed_partial(cache, e, nu, indices)
+            if not ex.is_zero_const(d):
+                out[(nu, indices)] = (d, factorial_multi(nu))
+    return out
+
+
 def factorial_multi(nu):
     out = 1
     for v in nu:

@@ -146,6 +146,14 @@ class TestElements:
         e = a.one() + t
         assert e * e == a.one() + t.scale(2) + t * t
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=lambda f: f.name)
+    def test_scale_drops_an_underflowed_coefficient(self, field):
+        a = make_truncated(1, 0, 3, field)
+        tiny = (a.one() + a.gen_even(1)).scale(1e-200).scale(1e-200)
+        assert tiny.is_zero()
+        assert tiny == a.zero()
+        assert repr(tiny) == "0"
+
     def test_grassmann_square_cancels(self):
         a = make_grassmann(2)
         v = a.gen_odd(1) + a.gen_odd(2)

@@ -288,6 +288,30 @@ class TestMalformedInput:
         path.write_text(json.dumps({"schema": 1, "algebras": {"q": algebra}}))
         self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "@q"], capsys)
 
+    @pytest.mark.parametrize("ws", [
+        [1],
+        {"schema": 1, "domains": {"U": {"q": 0}}},
+        {"schema": 1, "domains": {"U": {"p": 1, "q": 0, "box": [5]}}},
+        {"schema": 1, "domains": {"U": {"p": 1, "q": 0, "box": [["a", 1]]}}},
+        {"schema": 1, "domains": [1]},
+        {"schema": 1, "domains": {"U": {"p": 1, "q": 0}}, "sections": {"f": {"domain": "U", "expr": 5}}},
+        {"schema": 1, "domains": {"U": {"p": 1, "q": 0}}, "morphisms": {
+            "m": {"source": "U", "target": "U", "pullbacks": [1]}}},
+        {"schema": 1, "domains": {"U": {"p": 1, "q": 0}}, "algebras": {"A": {
+            "field": "rational", "k": 1, "l": 0, "s": 2, "ideal": []}},
+         "points": {"x": {"domain": "U", "algebra": "A", "even": 1, "odd": []}}},
+        {"schema": 1, "domains": {"U": {"p": 1, "q": 0}}, "algebras": {"A": {
+            "field": "rational", "k": 1, "l": 0, "s": 2, "ideal": []}},
+         "points": {"x": {"domain": "U", "algebra": "A", "even": [1], "odd": []}}},
+        {"schema": 1, "series": {"f": {"source": 5}}},
+    ], ids=["top-level-list", "domain-without-p", "box-entry-number", "box-entry-string",
+            "domains-list", "expr-number", "pullback-number", "point-even-number",
+            "point-even-entry-number", "series-source-number"])
+    def test_workspace_malformed_shape(self, ws, tmp_path, capsys):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(ws))
+        self.fails_cleanly(["algebra", "--workspace", str(path), "--spec", "trunc:1,0,3"], capsys)
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_workspace_list_scalar(self, field, tmp_path, capsys):
         algebra = {"field": field, "k": 1, "l": 0, "s": 5, "ideal": [{"t1^4": [1]}]}

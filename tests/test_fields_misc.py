@@ -119,6 +119,8 @@ class TestNonFiniteScalars:
         ("real", [1]), ("real", [1.0, 2.0]), ("real", None), ("real", {"re": 1}), ("real", "one"),
         ("complex", [1]), ("complex", [1, 2, 3]), ("complex", ["1", 2]), ("complex", [[1], 0]),
         ("complex", None), ("complex", {"re": 1}),
+        ("real", True), ("real", " 2.5 "), ("rational", False), ("rational", True),
+        ("complex", True), ("complex", [True, 0]), ("complex", [0.0, False]), ("complex", "1"),
     ])
     def test_from_json_rejects_malformed_scalars(self, field, value):
         with pytest.raises(ParseError):

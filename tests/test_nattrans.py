@@ -1,11 +1,14 @@
 """Coefficient series: extraction, application, the morphism-origin checker."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+
 from superweil import (
+    REAL,
     AlgebraError,
     ParityError,
     SuperDomain,
@@ -13,16 +16,20 @@ from superweil import (
     apply_morphism_to_point,
     apply_series,
     check_comes_from_morphism,
+    eval_taylor,
     make_apoint,
     make_domain_morphism,
     make_grassmann,
     make_truncated,
+    section,
     series_from_morphism,
 )
 from superweil import expr as ex
+from superweil import superfunc
 from superweil.battery import rand_domain_morphism, rand_point
 from superweil.expr import parse_expr, polynomials_equal
 from superweil.nattrans import NECESSITY_NOTE
+from superweil.serialize import series_to_json
 
 U12 = SuperDomain(1, 2)
 V10 = SuperDomain(1, 0)
@@ -116,6 +123,72 @@ class TestApplySeries:
         x = make_apoint(U12, g, [g.scalar(1)], [g.gen_odd(1), g.gen_odd(2)])
         with pytest.raises(AlgebraError):
             apply_series(series, x)
+
+
+class TestOneSeriesPath:
+    """eval_taylor is the section's series at the base, contracted."""
+
+    U22 = SuperDomain(2, 2)
+
+    def one_pullback(self, s):
+        target = SuperDomain(0, 1) if s.parity == ex.ODD else SuperDomain(1, 0)
+        return make_domain_morphism(self.U22, target, [s])
+
+    def test_eval_taylor_is_the_applied_series_exactly_on_rationals(self):
+        rng = random.Random(9)
+        for algebra in (make_truncated(2, 2, 4), make_truncated(1, 2, 5), make_grassmann(3)):
+            for target in (SuperDomain(1, 0), SuperDomain(0, 1)):
+                for _ in range(8):
+                    s = section(self.U22, rand_domain_morphism(rng, self.U22, target).pullbacks[0].expr)
+                    x = rand_point(rng, self.U22, algebra)
+                    series = series_from_morphism(self.one_pullback(s), algebra.height())
+                    assert eval_taylor(x, s) == apply_series(series, x)[0]
+
+    @pytest.mark.parametrize("text", [
+        "exp(x1)*sin(x2) + theta1*theta2*log(2+x1^2)",
+        "theta1*cos(x1*x2) + theta2*exp(x2)",
+        "inv(2+x1)*x2^2 + theta1*theta2*x1^3",
+    ])
+    def test_eval_taylor_is_the_applied_series_on_reals(self, text):
+        rng = random.Random(10)
+        s = section(self.U22, text)
+        for algebra in (make_truncated(2, 2, 4, REAL), make_truncated(1, 2, 5, REAL)):
+            x = rand_point(rng, self.U22, algebra)
+            series = series_from_morphism(self.one_pullback(s), algebra.height())
+            via_taylor, via_series = eval_taylor(x, s), apply_series(series, x)[0]
+            assert not via_taylor.is_zero()
+            assert (via_taylor - via_series).norm() <= 1e-12 * via_taylor.norm()
+
+    def test_series_json_bytes(self):
+        pulls = ["x1^3 + 2*x1 + theta1*x1^2*theta1", "theta1*exp(x1)"]
+        phi = make_domain_morphism(SuperDomain(1, 1), SuperDomain(1, 1), pulls)
+        got = json.dumps(series_to_json(series_from_morphism(phi, 3)), sort_keys=True)
+        assert got == (
+            '{"order": 3, "slots": [[{"J": [], "expr": "x1*x1*x1 + 2*x1", "nu": [0]}, '
+            '{"J": [], "expr": "(x1 + x1)*x1 + x1*x1 + 2", "nu": [1]}, '
+            '{"J": [], "expr": "(1/2)*(2*x1 + (x1 + x1) + (x1 + x1))", "nu": [2]}, '
+            '{"J": [], "expr": "1", "nu": [3]}], '
+            '[{"J": [1], "expr": "exp(x1)", "nu": [0]}, {"J": [1], "expr": "exp(x1)", "nu": [1]}, '
+            '{"J": [1], "expr": "(1/2)*exp(x1)", "nu": [2]}, '
+            '{"J": [1], "expr": "(1/6)*exp(x1)", "nu": [3]}]], '
+            '"source": [1, 1], "target": [1, 1]}'
+        )
+
+    def test_a_component_with_a_zero_odd_product_is_not_differentiated(self, monkeypatch):
+        U = SuperDomain(1, 2)
+        s = section(U, "x1^3*theta1*theta2")
+        a = make_truncated(1, 2, 4)
+        t, z1, z2 = a.gen_even(1), a.gen_odd(1), a.gen_odd(2)
+
+        def no_derivatives(*args):
+            raise AssertionError("differentiated a component that contributes nothing")
+
+        monkeypatch.setattr(superfunc, "derive_expr_even", no_derivatives)
+        x = make_apoint(U, a, [a.scalar(2) + t], [z1, z1])  # theta1*theta2 -> z1*z1 = 0
+        assert eval_taylor(x, s).is_zero()
+        y = make_apoint(U, a, [a.scalar(2) + t], [z1, z2])
+        with pytest.raises(AssertionError, match="differentiated"):
+            eval_taylor(y, s)
 
 
 class TestChecker:
