@@ -312,7 +312,7 @@ class SuperWeilAlgebra:
         residue of a zero product and is dropped before row reduction.
         """
         field = self.field
-        gens = [g for g in self.generators() if not g.is_zero()]
+        gens = [(g, g.norm()) for g in self.generators() if not g.is_zero()]
         level = [AlgebraElement(self, {m: field.one}) for m in self.nil_monomials()]
         dims = []
         while level:
@@ -321,9 +321,10 @@ class SuperWeilAlgebra:
                 break
             rows = []
             for u in level:
-                for g in gens:
+                u_norm = u.norm()
+                for g, g_norm in gens:
                     w = u * g
-                    if not _negligible_element(w, u.norm() * g.norm()):
+                    if not _negligible_element(w, u_norm * g_norm):
                         rows.append({self.basis_index[m]: c for m, c in w.coeffs.items()})
             rows, _ = rref_desc(rows, field)
             # ascending basis order, so that float products sum in one order
@@ -609,6 +610,7 @@ def quotient(ambient, gens):
     quotient basis.  Returns ``(quotient_algebra, projection_morphism)``.
     """
     field = ambient.field
+    one = field.one
     rows = [dict(r) for r in ambient.ideal_rows]
     for g in gens:
         if g.algebra != ambient:
@@ -623,9 +625,14 @@ def quotient(ambient, gens):
         if p == ZERO:
             continue
         # g * (pivot monomial) is a combination of g * (basis monomials) modulo
-        # the ambient rows already included, so the quotient basis suffices
+        # the ambient rows already included, so the quotient basis suffices;
+        # it ascends in degree, and from deg(m) = s - (lowest degree in g) on
+        # every term of g * m has degree >= s and is structurally zero
+        cutoff = ambient.s - min(m.degree() for m in g.coeffs)
         for m in ambient.quotient_basis:
-            prod = g * AlgebraElement(ambient, {m: field.one})
+            if m.degree() >= cutoff:
+                break
+            prod = g * AlgebraElement(ambient, {m: one})
             if not prod.is_zero():
                 rows.append({ambient._ambient_index[m]: c for m, c in prod.coeffs.items()})
     quo = SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)

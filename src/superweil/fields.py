@@ -26,18 +26,12 @@ class Field:
     name: str
     exact: bool
     transcendental: bool
+    zero: object  # the field's 0 and 1 as scalars, shared: scalars are immutable
+    one: object
     primitives = None  # module with exp, log, sin, cos on the inexact fields
 
     def __repr__(self):
         return f"<field {self.name}>"
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def coerce(self, value):
         raise NotImplementedError
@@ -120,6 +114,8 @@ class RationalField(Field):
     name = "rational"
     exact = True
     transcendental = False
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -152,6 +148,8 @@ class RealField(Field):
     name = "real"
     exact = False
     transcendental = True
+    zero = 0.0
+    one = 1.0
     primitives = math
 
     def coerce(self, value):
@@ -173,6 +171,8 @@ class ComplexField(Field):
     name = "complex"
     exact = False
     transcendental = True
+    zero = 0j
+    one = 1 + 0j
     primitives = cmath
 
     def coerce(self, value):

@@ -7,7 +7,9 @@ scalars as [re, im] pairs.  Domains carrying a predicate cannot be encoded.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from numbers import Real
 
@@ -134,7 +136,11 @@ def domain_to_json(domain: SuperDomain):
         raise ParseError("domains with a predicate cannot be serialized")
     box = None
     if domain.box is not None:
-        box = [list(iv) if iv is not None else None for iv in domain.box]
+        # an end may be any real number (a Fraction, say); JSON holds floats
+        box = [
+            None if iv is None else [None if end is None else float(end) for end in iv]
+            for iv in domain.box
+        ]
     return {"p": domain.p, "q": domain.q, "box": box}
 
 
@@ -420,9 +426,19 @@ class Workspace:
         return ws
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Write the workspace to ``path`` as JSON.  The text goes to a
+        temporary file beside ``path`` that then replaces it, so a save that
+        fails leaves an existing file as it was."""
+        text = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path):

@@ -27,7 +27,7 @@ from superweil import (
     scalar_projection,
     tensor,
 )
-from superweil.algebra import mul_monomials
+from superweil.algebra import Monomial, SuperWeilAlgebra, mul_monomials
 from superweil.linalg import rref_desc
 
 def names(algebra):
@@ -681,3 +681,54 @@ def test_the_product_table_fills_one_entry_per_new_pair():
     (m_t,), (m_z,), (m_tz,) = t1.coeffs, z1.coeffs, tz.coeffs
     # one entry per pair multiplied, none filled ahead of use
     assert a._products == {m_t: {m_z: ((m_tz, 1),)}, m_tz: {m_z: ()}}
+
+
+# -- quotient spans its ideal from the products that survive truncation -------------
+
+
+def _whole_basis_quotient(ambient, gens):
+    """The reference: every generator times every quotient basis monomial."""
+    field = ambient.field
+    rows = [dict(r) for r in ambient.ideal_rows]
+    for g in gens:
+        for m in ambient.quotient_basis:
+            prod = g * ambient.element({m: field.one})
+            rows.append({ambient._ambient_index[n]: c for n, c in prod.coeffs.items()})
+    return SuperWeilAlgebra(field, ambient.k, ambient.l, ambient.s, rows)
+
+
+def _random_generator(algebra, rng, parity):
+    """A zero-body element of one parity with terms of several degrees."""
+    field = algebra.field
+    terms = [m for m in algebra.quotient_basis if not m.is_one() and m.parity() == parity]
+    return algebra.element({m: field.coerce(F(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+                            for m in rng.sample(terms, min(len(terms), rng.randint(1, 4)))})
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", range(8))
+def test_quotient_matches_the_whole_basis_span(seed, field):
+    rng = random.Random(seed)
+    ambient = make_truncated(rng.randint(1, 3), rng.randint(0, 2), rng.randint(3, 6), field)
+    if seed % 2:
+        # a quotient ambient: its own rows join the span
+        ambient = quotient(ambient, [_random_generator(ambient, rng, 0)])[0]
+    parities = [0, 0] + [1] * (ambient.l > 0)
+    gens = [_random_generator(ambient, rng, p) for p in parities]
+    want = _whole_basis_quotient(ambient, gens)
+    got = quotient(ambient, gens)[0]
+    assert got.pivot_cols == want.pivot_cols
+    assert got.ideal_rows == want.ideal_rows
+    if not field.exact:
+        assert repr(got.ideal_rows) == repr(want.ideal_rows)
+
+
+def test_quotient_multiplies_by_no_monomial_past_the_truncation():
+    a = make_truncated(3, 0, 6)
+    t1 = a.gen_even(1)
+    quotient(a, [t1 ** 3])
+    # t1^3 * m has degree >= 6 once deg(m) >= 3: only the 10 monomials of
+    # degree <= 2 in three generators are multiplied
+    row = a._products[Monomial((3, 0, 0), 0)]
+    assert len(row) == 10
+    assert all(m.degree() < 3 for m in row)

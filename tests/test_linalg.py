@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superweil.fields import RATIONAL, REAL
+from superweil.fields import COMPLEX, RATIONAL, REAL
 from superweil.linalg import in_row_space, intersect_row_spaces, rref_desc
 
 
@@ -98,3 +99,100 @@ def test_float_column_without_usable_pivot_is_skipped():
     reduced, pivots = rref_desc([{1: float("nan")}, {0: 2.0}], REAL)
     assert pivots == [0]
     assert reduced == [{0: 1.0}]
+
+
+def scan_rref_desc(rows, field):
+    """The reference: each pivot column found by a scan of every entry of
+    every unused row, each elimination by a walk over every row."""
+    work = [{j: c for j, c in r.items() if not field.is_zero(c)} for r in rows]
+    used = [False] * len(work)
+    pivots = []
+    out = []
+    col = None
+    while True:
+        col = max(
+            (j for i, row in enumerate(work) if not used[i] for j in row
+             if col is None or j < col),
+            default=None,
+        )
+        if col is None:
+            break
+        best = -1
+        best_norm = 0.0
+        for i, row in enumerate(work):
+            if used[i] or col not in row:
+                continue
+            if field.exact:
+                best = i
+                break
+            nrm = field.norm(row[col])
+            if nrm > best_norm:
+                best, best_norm = i, nrm
+        if best < 0:
+            continue
+        used[best] = True
+        scale = work[best][col]
+        piv = work[best] = {j: c / scale for j, c in work[best].items()}
+        scale_norm = 1.0 if field.exact else max(field.norm(c) for c in piv.values())
+        for i, row in enumerate(work):
+            factor = row.get(col)
+            if i == best or factor is None:
+                continue
+            for j, p in piv.items():
+                row[j] = row.get(j, field.zero) - factor * p
+            # exact fields can only zero the entries just touched; float
+            # fields drop whatever is negligible against the pivot row
+            for j in [j for j in (piv if field.exact else row)
+                      if field.negligible(row[j], scale_norm)]:
+                del row[j]
+        out.append(piv)
+        pivots.append(col)
+    return out, pivots
+
+
+# entries at the float fields' 1e-12 threshold sit beside ordinary ones
+_ENTRY = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.sampled_from([F(1, 3), F(-5, 7), F(10**6), F(1e-12), F(-3e-13), F(2e-12), F(1e-11)]),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    cols = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "duplicate", "zero"]))
+        if kind == "duplicate" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append(draw(st.sampled_from([{}, {0: F(0)}, {cols - 1: F(0)}])))
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, cols - 1), _ENTRY, max_size=8)))
+    return rows
+
+
+def _on(field, rows):
+    """``rows`` over ``field``; COMPLEX gives the odd columns an imaginary part."""
+    if field is RATIONAL:
+        return [dict(r) for r in rows]
+    if field is REAL:
+        return [{j: float(c) for j, c in r.items()} for r in rows]
+    return [{j: complex(float(c), float(c) / 2 if j % 2 else 0.0) for j, c in r.items()}
+            for r in rows]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(rows=sparse_matrices())
+def test_rref_desc_matches_the_scan(field, rows):
+    got_rows, got_pivots = rref_desc(_on(field, rows), field)
+    want_rows, want_pivots = scan_rref_desc(_on(field, rows), field)
+    assert got_pivots == want_pivots
+    # the same entries in the same dict order; the same floats bit for bit
+    got = [list(r.items()) for r in got_rows]
+    want = [list(r.items()) for r in want_rows]
+    if field.exact:
+        assert got == want
+    else:
+        assert repr(got) == repr(want)

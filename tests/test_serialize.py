@@ -1,6 +1,7 @@
 """JSON round trips and the named workspace registry."""
 
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -236,3 +237,31 @@ class TestWorkspace:
     def test_bad_schema_rejected(self):
         with pytest.raises(ParseError):
             Workspace.from_json({"schema": 99})
+
+    def test_fraction_box_ends_save_as_floats(self, tmp_path):
+        ws = Workspace()
+        ws.domains["U"] = SuperDomain(2, 0, box=((F(-1), F(1, 2)), (None, F(3))))
+        assert domain_to_json(ws.domains["U"])["box"] == [[-1.0, 0.5], [None, 3.0]]
+        path = tmp_path / "ws.json"
+        ws.save(path)
+        assert Workspace.load(path) == ws
+
+    def test_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
+        path = tmp_path / "ws.json"
+        self.build().save(path)
+        before = path.read_bytes()
+        unsavable = Workspace()
+        unsavable.domains["U"] = SuperDomain(1, 0, predicate=lambda p: True)
+        with pytest.raises(ParseError):
+            unsavable.save(path)
+        assert path.read_bytes() == before
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        # a write that fails after the text is complete leaves no temporary file
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            self.build().save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ws.json"]
