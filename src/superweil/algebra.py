@@ -16,7 +16,7 @@ what makes truncated-Taylor evaluation of smooth functions terminate.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from operator import add
@@ -109,6 +109,14 @@ def _ambient_monomials(k, l, s):
     return out
 
 
+@lru_cache(maxsize=64)  # distinct (k, l, s) shapes kept; the battery meets 38
+def _ambient(k, l, s):
+    """(basis tuple, {monomial: index}) of the ambient of shape (k, l, s),
+    shared by every algebra of that shape and never written."""
+    basis = tuple(_ambient_monomials(k, l, s))
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
 def exponents_up_to(k, budget):
     """Every k-tuple of non-negative exponents with sum <= budget, in lex order."""
     if k == 0:
@@ -154,8 +162,7 @@ class SuperWeilAlgebra:
                 f"ambient dimension {ambient} exceeds the "
                 f"ambient cap {MAX_AMBIENT_DIM}"
             )
-        self.ambient_basis = _ambient_monomials(k, l, s)
-        self._ambient_index = {m: i for i, m in enumerate(self.ambient_basis)}
+        self.ambient_basis, self._ambient_index = _ambient(k, l, s)
         ideal_rows, pivots = rref_desc(ideal_rows, field)
         self.ideal_rows = tuple(tuple(sorted(r.items())) for r in ideal_rows)
         self.pivot_cols = tuple(pivots)
@@ -263,9 +270,6 @@ class SuperWeilAlgebra:
         return [self.gen_even(i) for i in range(1, self.k + 1)] + [
             self.gen_odd(j) for j in range(1, self.l + 1)
         ]
-
-    def basis_elements(self):
-        return [AlgebraElement(self, {m: self.field.one}) for m in self.quotient_basis]
 
     def _reduced_monomial_element(self, m):
         return AlgebraElement(self, dict(self._normal_form(m)))
@@ -511,19 +515,6 @@ class AlgebraElement:
         return AlgebraElement(
             self.algebra, {m: c for m, c in self.coeffs.items() if m.parity() == 1}
         )
-
-    def nilpotency_order(self):
-        """Smallest r with self^(r+1) = 0; raises if the element is a unit."""
-        if not self.algebra.field.is_zero(self.body()):
-            raise AlgebraError("element with non-zero body is not nilpotent")
-        r = 0
-        power = self
-        while not power.is_zero():
-            if r == self.algebra.s - 1:
-                raise AlgebraError("nilpotency iteration exceeded the truncation order")
-            power = power * self
-            r += 1
-        return r
 
     def inverse(self):
         """Multiplicative inverse via the finite geometric series on the soul.

@@ -182,9 +182,6 @@ class Distribution:
     order: int
     coeffs: tuple  # tuple of ((nu, J), scalar) pairs, canonically sorted
 
-    def coefficient_map(self):
-        return dict(self.coeffs)
-
 
 def make_distribution(domain, base, order, coeffs):
     if order < 0:

@@ -12,6 +12,7 @@ SUPERWEIL_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -358,9 +359,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process; ``parse_args`` never modifies it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "selftest":
         args.seed = int(os.environ.get("SUPERWEIL_SEED", "0"))
     try:

@@ -11,14 +11,14 @@ import contextlib
 import json
 import os
 import re
-from numbers import Real
+from numbers import Rational, Real
 
 from . import expr as ex
 from .algebra import AlgebraElement, Monomial, SuperWeilAlgebra, make_truncated
 from .apoints import APoint, DomainMorphism, make_apoint, make_domain_morphism
 from .calculus import Derivation, Distribution, TangentVector, make_derivation, make_distribution
 from .errors import ParseError
-from .fields import field_by_name
+from .fields import RATIONAL, field_by_name
 from .nattrans import TruncatedFormalSeries
 from .superfunc import Section, SuperDomain, section
 
@@ -136,12 +136,19 @@ def domain_to_json(domain: SuperDomain):
         raise ParseError("domains with a predicate cannot be serialized")
     box = None
     if domain.box is not None:
-        # an end may be any real number (a Fraction, say); JSON holds floats
-        box = [
-            None if iv is None else [None if end is None else float(end) for end in iv]
-            for iv in domain.box
-        ]
+        box = [None if iv is None else [_end_to_json(end) for end in iv] for iv in domain.box]
     return {"p": domain.p, "q": domain.q, "box": box}
+
+
+def _end_to_json(end):
+    """A box end as a JSON float, or "num/den" for a rational no float equals."""
+    if not isinstance(end, Rational):
+        return None if end is None else float(end)
+    with contextlib.suppress(OverflowError):
+        value = float(end)
+        if value == end:
+            return value
+    return str(end)
 
 
 def domain_from_json(obj):
@@ -153,14 +160,19 @@ def domain_from_json(obj):
 
 
 def _interval(iv):
-    """A domain box entry: null, or [lo, hi] with each end a real number or null."""
+    """A domain box entry: null, or [lo, hi] with each end a real number, a
+    "num/den" string or null."""
     if iv is None:
         return None
     if not isinstance(iv, list) or len(iv) != 2 or not all(
-        v is None or isinstance(v, Real) and not isinstance(v, bool) for v in iv
+        v is None or isinstance(v, (Real, str)) and not isinstance(v, bool) for v in iv
     ):
-        raise ParseError(f"domain 'box' entry {iv!r} is not a [lo, hi] pair of numbers or nulls")
-    return tuple(iv)
+        raise ParseError(f"domain 'box' entry {iv!r} is not a [lo, hi] pair of numbers, "
+                         '"num/den" strings or nulls')
+    try:
+        return tuple(RATIONAL.parse(v) if isinstance(v, str) else v for v in iv)
+    except ParseError as exc:
+        raise ParseError(f"domain 'box' entry {iv!r}: {exc}") from None
 
 
 def section_to_json(s: Section):

@@ -3,6 +3,8 @@
 import functools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +29,13 @@ from superweil import (
     scalar_projection,
     tensor,
 )
-from superweil.algebra import Monomial, SuperWeilAlgebra, mul_monomials
+from superweil.algebra import (
+    Monomial,
+    SuperWeilAlgebra,
+    _ambient,
+    _ambient_monomials,
+    mul_monomials,
+)
 from superweil.linalg import rref_desc
 
 def names(algebra):
@@ -89,6 +97,47 @@ class TestConstructors:
         assert e * e == a.one() + x.scale(2)
         assert a.height() == 1
         assert a.width() == 2
+
+
+class TestAmbientCache:
+    def test_one_shape_shares_one_enumeration(self):
+        a = make_truncated(2, 1, 4, RATIONAL)
+        b = make_truncated(2, 1, 4, REAL)
+        assert a.ambient_basis is b.ambient_basis
+        assert list(a.ambient_basis) == _ambient_monomials(2, 1, 4)
+        q, _ = quotient(a, [a.gen_even(1) ** 2])
+        assert q.ambient_basis is a.ambient_basis
+
+    def test_over_cap_shape_is_not_enumerated(self):
+        before = _ambient.cache_info()
+        with pytest.raises(AlgebraError, match="ambient cap"):
+            make_truncated(4, 0, 40)
+        assert _ambient.cache_info() == before
+
+    def test_racing_threads_build_equal_bases(self):
+        shapes = [(1, 1, 5), (2, 0, 6), (0, 3, 4), (3, 1, 3)]
+        built = [None] * 8
+
+        def build(slot):
+            built[slot] = [make_truncated(*shape).ambient_basis for shape in shapes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _ambient.cache_clear()
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(len(built))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for shape, *bases in zip(shapes, *built):
+            basis, index = _ambient(*shape)
+            assert all(b == basis for b in bases)
+            assert list(basis) == _ambient_monomials(*shape)
+            assert [index[m] for m in basis] == list(range(len(basis)))
 
 
 class TestQuotient:

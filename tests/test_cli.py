@@ -202,6 +202,32 @@ class TestExitCodes:
         assert "error:" in proc.stderr
 
 
+class TestOneParser:
+    def test_two_calls_build_the_parser_once(self, monkeypatch, capsys):
+        from superweil import cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(TANGENT_ARGS) == 0
+            assert cli.main(EVAL_ARGS) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_usage_error_leaves_the_parser_as_built(self, capsys):
+        from superweil import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--algebra", "grassmann:2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(EVAL_ARGS) == 0
+        assert capsys.readouterr().out == run(EVAL_ARGS, check=True).stdout
+
+
 class TestMalformedInput:
     """Malformed input ends in exit 1 and a one-line diagnostic, no traceback."""
 

@@ -246,6 +246,23 @@ class TestWorkspace:
         ws.save(path)
         assert Workspace.load(path) == ws
 
+    @pytest.mark.parametrize(
+        "box, written",
+        [(((F(1, 3), F(1)),), [["1/3", 1.0]]), (((F(10**400), None),), [[str(10**400), None]])],
+    )
+    def test_inexact_fraction_box_ends_round_trip(self, box, written, tmp_path):
+        ws = Workspace()
+        ws.domains["U"] = SuperDomain(1, 0, box=box)
+        assert domain_to_json(ws.domains["U"])["box"] == written
+        path = tmp_path / "ws.json"
+        ws.save(path)
+        assert Workspace.load(path) == ws
+
+    @pytest.mark.parametrize("end", ["1//3", "one", "1/0", ""])
+    def test_malformed_box_end_string(self, end):
+        with pytest.raises(ParseError, match="box"):
+            domain_from_json({"p": 1, "q": 0, "box": [[end, None]]})
+
     def test_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
         path = tmp_path / "ws.json"
         self.build().save(path)
