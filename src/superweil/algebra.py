@@ -310,33 +310,21 @@ class SuperWeilAlgebra:
     def _power_dims(self):
         """Dimensions of nil, nil^2, ... down to the last non-zero power.
 
-        nil^(r+1) = sum over the generators g of nil^r * g, and nil^s = 0 in
-        a degree-s truncation, so at most s-1 powers are computed.  On inexact
-        fields a product negligible at the scale of its factors is float
-        residue of a zero product and is dropped before row reduction.
+        When every stored ideal row is degree-homogeneous, a pivot's normal
+        form has the pivot's degree, so A = sum of the spans A_d of the
+        degree-d basis monomials and A_a * A_b lies in A_(a+b).  A basis
+        monomial of degree d >= r is +-(the product of its d generators),
+        each a degree-1 element of nil, so it lies in nil^r; hence nil^r is
+        the sum of the A_d with d >= r, and its dimension is a count of basis
+        monomials.  Otherwise the powers come from products with the
+        generators (:func:`_power_dims_by_products`).
         """
-        field = self.field
-        gens = [(g, g.norm()) for g in self.generators() if not g.is_zero()]
-        level = [AlgebraElement(self, {m: field.one}) for m in self.nil_monomials()]
-        dims = []
-        while level:
-            dims.append(len(level))
-            if len(dims) == self.s - 1:
-                break
-            rows = []
-            for u in level:
-                u_norm = u.norm()
-                for g, g_norm in gens:
-                    w = u * g
-                    if not _negligible_element(w, u_norm * g_norm):
-                        rows.append({self.basis_index[m]: c for m, c in w.coeffs.items()})
-            rows, _ = rref_desc(rows, field)
-            # ascending basis order, so that float products sum in one order
-            level = [
-                AlgebraElement(self, {self.quotient_basis[i]: c for i, c in sorted(row.items())})
-                for row in rows
-            ]
-        return tuple(dims)
+        basis = self.ambient_basis
+        # rows ascend in degree, so a row is homogeneous iff its ends agree
+        if any(basis[row[0][0]].degree() != basis[row[-1][0]].degree() for row in self.ideal_rows):
+            return _power_dims_by_products(self)
+        degrees = [m.degree() for m in self.quotient_basis]
+        return tuple(sum(d >= r for d in degrees) for r in range(1, max(degrees) + 1))
 
     def height(self):
         """Smallest r such that the (r+1)-st power of the nilpotent ideal is 0."""
@@ -346,6 +334,39 @@ class SuperWeilAlgebra:
         """Dimension of nil modulo nil^2."""
         dims = self._power_dims + (0, 0)
         return dims[0] - dims[1]
+
+
+def _power_dims_by_products(algebra):
+    """``algebra._power_dims`` for any ideal: nil^(r+1) = sum over the
+    generators g of nil^r * g, each level row-reduced, and nil^s = 0 in a
+    degree-s truncation, so at most s-1 powers are computed.  On inexact
+    fields a product negligible at the scale of its factors is float residue
+    of a zero product and is dropped before row reduction; exact fields drop
+    only zero products, so they need no norms.
+    """
+    field, index, basis = algebra.field, algebra.basis_index, algebra.quotient_basis
+    exact = field.exact
+    gens = [(g, 0.0 if exact else g.norm()) for g in algebra.generators() if not g.is_zero()]
+    level = [AlgebraElement(algebra, {m: field.one}) for m in algebra.nil_monomials()]
+    dims = []
+    while level:
+        dims.append(len(level))
+        if len(dims) == algebra.s - 1:
+            break
+        rows = []
+        for u in level:
+            u_norm = 0.0 if exact else u.norm()
+            for g, g_norm in gens:
+                w = u * g
+                if not _negligible_element(w, u_norm * g_norm):
+                    rows.append({index[m]: c for m, c in w.coeffs.items()})
+        rows, _ = rref_desc(rows, field)
+        # ascending basis order, so that float products sum in one order
+        level = [
+            AlgebraElement(algebra, {basis[i]: c for i, c in sorted(row.items())})
+            for row in rows
+        ]
+    return tuple(dims)
 
 
 class AlgebraElement:
@@ -753,27 +774,61 @@ def make_morphism(source, target, even_images, odd_images):
     for v in odd_images:
         if v.parity() not in (ODD, ZERO):
             raise ParityError("image of an odd generator must be odd")
-    scale = max([v.norm() for v in even_images + odd_images], default=1.0)
-    # float error in an image grows with the coefficients of the target's
-    # normal forms, which its products are reduced by, and in a relation with
-    # the relation's own coefficients
-    nf_scale = max([1.0] + [field.norm(c) for nf in target._reduction.values()
-                            for c in nf.values()])
+    magnitude = None if field.exact else _image_magnitudes(rho)
+
+    def violated(img, terms):
+        # img is the image of the sum of c * m over terms; on float fields its
+        # rounding error is bounded, up to a small multiple of the unit
+        # roundoff, by the same sum of products taken on magnitudes
+        if magnitude is None:
+            return not img.is_zero()
+        bound = sum(field.norm(c) * max(magnitude(m).values(), default=0.0) for c, m in terms)
+        return img.norm() > 1e-9 * bound
+
     for m in _monomials_of_degree(source.k, source.l, source.s):
-        img = rho.monomial_image(m)
-        if not _negligible_element(img, nf_scale * scale ** max(m.degree(), 1)):
+        if violated(rho.monomial_image(m), [(field.one, m)]):
             raise AlgebraError(
                 f"images violate the truncation relation {source.monomial_name(m)} = 0"
             )
     for row in source.ideal_rows:
-        acc, row_scale = target.zero(), 0.0
-        for i, c in row:
-            m = source.ambient_basis[i]
+        terms = [(c, source.ambient_basis[i]) for i, c in row]
+        acc = target.zero()
+        for c, m in terms:
             acc = acc + rho.monomial_image(m).scale(c)
-            row_scale = max(row_scale, field.norm(c) * scale ** m.degree())
-        if not _negligible_element(acc, nf_scale * row_scale):
+        if violated(acc, terms):
             raise AlgebraError("images are incompatible with a source relation")
     return rho
+
+
+def _image_magnitudes(rho):
+    """m -> the image of the source monomial m under ``rho`` with every
+    coefficient, the target's normal forms included, replaced by its
+    absolute value, as {quotient monomial: magnitude}; memoized."""
+    target = rho.target
+    norm = target.field.norm
+    gens = [{m: norm(c) for m, c in v.coeffs.items()} for v in rho.even_images + rho.odd_images]
+    k = rho.source.k
+    cache = {Monomial((0,) * k, 0): {Monomial((0,) * target.k, 0): 1.0}}
+
+    def magnitude(m):
+        got = cache.get(m)
+        if got is None:
+            # split off one generator: the highest odd one, else the last even
+            if m.odd:
+                j = m.odd.bit_length() - 1
+                rest, factor = Monomial(m.nu, m.odd ^ (1 << j)), gens[k + j]
+            else:
+                i = max(i for i, e in enumerate(m.nu) if e)
+                nu = m.nu[:i] + (m.nu[i] - 1,) + m.nu[i + 1:]
+                rest, factor = Monomial(nu, 0), gens[i]
+            got = cache[m] = {}
+            for m1, c1 in magnitude(rest).items():
+                for m2, c2 in factor.items():
+                    for mm, c in target._product_entry(m1, m2):
+                        got[mm] = got.get(mm, 0.0) + c1 * c2 * norm(c)
+        return got
+
+    return magnitude
 
 
 def _generator_map(source, target, even_offset=0, odd_offset=0):

@@ -29,13 +29,17 @@ from superweil import (
     scalar_projection,
     tensor,
 )
+from superweil import algebra as algebra_module
 from superweil.algebra import (
     Monomial,
     SuperWeilAlgebra,
     _ambient,
     _ambient_monomials,
+    _power_dims_by_products,
     mul_monomials,
 )
+from superweil.battery import constructor_families
+from superweil.cli import parse_algebra_spec
 from superweil.linalg import rref_desc
 
 def names(algebra):
@@ -344,6 +348,68 @@ class TestHeightWidth:
         assert (g * g.inverse() - a.one()).norm() < 1e-9
 
 
+# -- graded heights are degree counts; the product path is their reference -------
+
+
+def _homogeneous_generator(algebra, rng):
+    """A zero-body element whose terms share one degree and one parity."""
+    field = algebra.field
+    pools = {}
+    for m in algebra.quotient_basis:
+        if not m.is_one():
+            pools.setdefault((m.degree(), m.parity()), []).append(m)
+    terms = pools[rng.choice(sorted(pools))]
+    return algebra.element({m: field.coerce(F(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+                            for m in rng.sample(terms, min(len(terms), rng.randint(1, 3)))})
+
+
+def _graded_algebras(field):
+    yield from constructor_families(field).values()
+    # the benchmark's tensors
+    for a, b in (((2, 1, 3), (1, 1, 3)), ((2, 2, 3), (1, 1, 4))):
+        yield tensor(make_truncated(*a, field), make_truncated(*b, field))[0]
+    for seed in range(12):
+        rng = random.Random(seed)
+        ambient = make_truncated(rng.randint(1, 3), rng.randint(0, 2), rng.randint(2, 6), field)
+        q1 = quotient(ambient, [_homogeneous_generator(ambient, rng) for _ in range(2)])[0]
+        q2 = quotient(ambient, [_homogeneous_generator(ambient, rng)])[0]
+        yield from (q1, q2, join(q1, q2)[0])
+
+
+@pytest.fixture
+def product_path_calls(monkeypatch):
+    """The algebras whose powers went through the product path."""
+    calls = []
+
+    def recorded(algebra):
+        calls.append(algebra)
+        return _power_dims_by_products(algebra)
+
+    monkeypatch.setattr(algebra_module, "_power_dims_by_products", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+def test_graded_power_dims_are_degree_counts(field, product_path_calls):
+    for a in _graded_algebras(field):
+        got = a._power_dims
+        assert product_path_calls == [], a
+        assert got == _power_dims_by_products(a), a
+
+
+def test_non_graded_cli_quotient_takes_the_product_path(product_path_calls):
+    a = parse_algebra_spec("quot:trunc:2,2,4;t1^2-t2*z1*z2;t1*t2")
+    assert a._power_dims == (15, 11, 5)
+    assert product_path_calls == [a]
+    assert (a.height(), a.width()) == (3, 4)
+
+
+def test_non_graded_real_quotient_takes_the_product_path(product_path_calls):
+    q = _ill_conditioned_quotient(REAL)[1]
+    assert q._power_dims == (16, 14, 12, 10, 8, 6, 4, 2)
+    assert product_path_calls == [q]
+
+
 class TestTensor:
     def test_dual_tensor_dual(self):
         t, _, _ = tensor(make_dual_numbers(), make_dual_numbers())
@@ -442,6 +508,14 @@ def _c(field, text):
     return field.coerce(F(text))
 
 
+def _ill_conditioned_quotient(field):
+    """(ambient, quotient, projection) for a quotient whose normal-form
+    coefficients reach about 2.7e7."""
+    a = make_truncated(2, 0, 9, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    return a, *quotient(a, [t1 ** 2 * _c(field, "2/9") + t2 ** 3 * _c(field, "9/8") - t1 * t2 * 2])
+
+
 def _nested_mixed(field):
     a = make_truncated(2, 2, 5, field)
     t1, t2, z1, z2 = a.gen_even(1), a.gen_even(2), a.gen_odd(1), a.gen_odd(2)
@@ -521,20 +595,17 @@ class TestJoin:
 def test_float_quotient_builds_its_projection(field):
     # normal-form coefficients grow large here; a REAL check of the projection
     # against the truncation relations used to reject it
-    a = make_truncated(2, 0, 9, field)
+    a, q, proj = _ill_conditioned_quotient(field)
     t1, t2 = a.gen_even(1), a.gen_even(2)
-    q, proj = quotient(a, [t1 ** 2 * _c(field, "2/9") + t2 ** 3 * _c(field, "9/8") - t1 * t2 * 2])
     assert (q.dim, q.height()) == (17, 8)
     assert proj(t1 * t2) == q.gen_even(1) * q.gen_even(2)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
 def test_hand_built_maps_into_a_float_quotient(field):
-    # the tolerance scales with the quotient's normal-form coefficients (up to
-    # about 2.7e7 here), whose float error an absolute one mistook for a violation
-    a = make_truncated(2, 0, 9, field)
-    t1, t2 = a.gen_even(1), a.gen_even(2)
-    q, proj = quotient(a, [t1 ** 2 * _c(field, "2/9") + t2 ** 3 * _c(field, "9/8") - t1 * t2 * 2])
+    # normal-form coefficients reach about 2.7e7 here, whose float error an
+    # absolute tolerance mistook for a violation
+    a, q, proj = _ill_conditioned_quotient(field)
     u1, u2 = q.gen_even(1), q.gen_even(2)
     assert make_morphism(a, q, [u1, u2], []).even_images == proj.even_images
     make_morphism(q, q, [u1, u2], [])
@@ -544,6 +615,20 @@ def test_hand_built_maps_into_a_float_quotient(field):
     cubic = make_truncated(1, 0, 4, field)
     with pytest.raises(AlgebraError, match="truncation relation t1\\^2"):
         make_morphism(make_dual_numbers(field), cubic, [cubic.gen_even(1)], [])
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=lambda f: f.name)
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_nearly_right_maps_of_a_float_quotient_are_rejected(field, eps):
+    # a tolerance of the worst structure constant times the worst relation
+    # coefficient (both about 2.7e7 here) accepts both perturbations; a bound
+    # from each relation's own products, taken on magnitudes, does not
+    a, q, _ = _ill_conditioned_quotient(field)
+    u1, u2 = q.gen_even(1), q.gen_even(2)
+    with pytest.raises(AlgebraError, match="source relation"):
+        make_morphism(q, q, [u1.scale(1 + eps), u2], [])
+    # any images satisfy the truncated source's relations: nil^9 = 0 in q
+    make_morphism(a, q, [u1.scale(1 + eps), u2], [])
 
 
 # -- the canonical maps against the homomorphism laws ----------------------------
@@ -598,8 +683,7 @@ def test_canonical_maps_are_homomorphisms(name, field):
         assert close(rho(a + b), rho(a) + rho(b))
         for part, want in ((a.even_part(), "even"), (a.odd_part(), "odd")):
             assert rho(part).parity() in (want, "zero")
-    if field.exact:
-        assert make_morphism(source, target, rho.even_images, rho.odd_images) == rho
+    assert make_morphism(source, target, rho.even_images, rho.odd_images) == rho
 
 
 # -- randomized laws ------------------------------------------------------------
