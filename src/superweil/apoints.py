@@ -340,15 +340,3 @@ def split_point(z: APoint, u: SuperDomain, v: SuperDomain):
     x = make_apoint(u, z.algebra, z.even_vals[: u.p], z.odd_vals[: u.q])
     y = make_apoint(v, z.algebra, z.even_vals[u.p :], z.odd_vals[u.q :])
     return x, y
-
-
-def embed_section_left(s: Section, v: SuperDomain):
-    """View a section on U as a section on U x V."""
-    return Section(product_domain(s.domain, v), s.expr)
-
-
-def embed_section_right(s: Section, u: SuperDomain):
-    """View a section on V as a section on U x V."""
-    even_map = {i: ex.EvenCoord(i + u.p) for i in range(1, s.domain.p + 1)}
-    odd_map = {j: ex.OddCoord(j + u.q) for j in range(1, s.domain.q + 1)}
-    return Section(product_domain(u, s.domain), ex.substitute(s.expr, even_map, odd_map))

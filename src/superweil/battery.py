@@ -17,6 +17,7 @@ from . import expr as ex
 from .algebra import (
     EVEN,
     ODD,
+    compose_morphisms,
     identity_morphism,
     join,
     make_grassmann,
@@ -45,7 +46,7 @@ from .calculus import (
     taylor_coefficient_map,
 )
 from .fields import RATIONAL, REAL
-from .nattrans import check_comes_from_morphism, series_from_morphism
+from .nattrans import TruncatedFormalSeries, check_comes_from_morphism, series_from_morphism
 from .superfunc import (
     Section,
     SuperDomain,
@@ -491,8 +492,6 @@ def suite_nat_checker(seed, n=50, order=3):
                 )
         cases += 1
     # the constant-pushforward shape: nonconstant base coefficient, zero others
-    from .nattrans import TruncatedFormalSeries
-
     slots = [{((0,), ()): ex.int_pow(ex.EvenCoord(1), 2)}]
     fixture = TruncatedFormalSeries((1, 0), (1, 0), order, tuple(slots))
     report = check_comes_from_morphism(fixture, [(v,) for v in values])
@@ -503,8 +502,6 @@ def suite_nat_checker(seed, n=50, order=3):
 
 def _perturb_one_coefficient(rng, series):
     """Bump one coefficient with |nu| >= 1 by +1 (order-0 bumps stay morphisms)."""
-    from .nattrans import TruncatedFormalSeries
-
     options = [
         (k, key)
         for k, cmap in enumerate(series.coeffs)
@@ -535,8 +532,6 @@ def suite_functoriality(seed, n=100):
         one_step = pushforward_algebra(
             sigma, pushforward_algebra(rho, x)
         )
-        from .algebra import compose_morphisms
-
         direct = pushforward_algebra(compose_morphisms(sigma, rho), x)
         if one_step != direct:
             return SuiteResult("functoriality", False, cases, f"composition case {i}")

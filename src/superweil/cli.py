@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -41,6 +42,8 @@ from .fields import RATIONAL, field_by_name
 from .nattrans import check_comes_from_morphism
 from .serialize import (
     Workspace,
+    _lookup,
+    _typed_list,
     algebra_to_json,
     coeff_map_to_json,
     series_from_json,
@@ -236,13 +239,11 @@ def cmd_tangent(args):
 def cmd_dist(args):
     field = field_by_name(args.field)
     base = parse_scalar_tuple(args.base, field)
-    coeff_entries = json.loads(args.coeffs)
     coeffs = {}
-    for entry in coeff_entries:
-        if not isinstance(entry, dict) or not {"nu", "a"} <= entry.keys():
-            raise ParseError(f'every --coeffs entry needs "nu" and "a", got {entry!r}')
-        key = (tuple(entry["nu"]), tuple(entry.get("J", ())))
-        coeffs[key] = field.parse(str(entry["a"]))
+    for entry in _typed_list({"--coeffs": json.loads(args.coeffs)}, "--coeffs", dict, "dist"):
+        nu = tuple(_typed_list(entry, "nu", int, "--coeffs entry"))
+        js = tuple(_typed_list(entry, "J", int, "--coeffs entry")) if "J" in entry else ()
+        coeffs[(nu, js)] = field.parse(str(_lookup(entry, "a", "--coeffs entry")))
     q = max((max(j for j in indices) for (_, indices) in coeffs if indices), default=0)
     domain = SuperDomain(len(base), max(q, args.odd_dim))
     dist = make_distribution(domain, base, args.order, coeffs)
@@ -293,6 +294,14 @@ def cmd_selftest(args):
         all_ok = all_ok and r.passed
     print("selftest:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
+
+
+def finite_float(text):
+    """argparse type of a float option: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser():
@@ -353,7 +362,7 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run the randomized property battery")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=finite_float, default=1.0)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_selftest)
     return parser

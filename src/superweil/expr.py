@@ -14,6 +14,7 @@ import weakref
 from fractions import Fraction
 from functools import partial
 
+from .algebra import merge_sign
 from .errors import ParityError, ParseError
 from .fields import ANALYTIC_FUNCTIONS
 
@@ -119,19 +120,40 @@ def _check_index(kind, i):
         raise ParseError(f"{kind} coordinate index {i!r} must be an int >= 1")
 
 
+def _enter(key, cls, fields, parity):
+    """Build the node ``cls(*fields)`` of ``parity`` and enter it under
+    ``key``: every constructor's path when no live node has that key."""
+    node = object.__new__(cls)
+    # one or two slots, set unrolled: a zip() loop made new nodes measurably
+    # slower (CPython 3.11)
+    names = cls.__slots__
+    setattr(node, names[0], fields[0])
+    if len(fields) == 2:
+        setattr(node, names[1], fields[1])
+    node.parity = parity
+    _NODES[key] = weakref.ref(node, partial(_drop, key))
+    return node
+
+
+def _even_operand(what, a):
+    """EVEN, the parity of an analytic node, once its operand is even."""
+    if a.parity != EVEN:
+        raise ParityError(f"{what} needs an even operand, got {a.parity}")
+    return EVEN
+
+
+# Each constructor checks its arguments, then returns the live node of its
+# key or else enters a new one (a node is never falsy); parity and operand
+# checks run on the new node only.
+
+
 class EvenCoord(Expr):
     __slots__ = ("i",)
 
     def __new__(cls, i):
         _check_index("even", i)
         key = (cls, i)
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.i = i
-            node.parity = EVEN
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(key, cls, (i,), EVEN)
 
 
 class OddCoord(Expr):
@@ -140,13 +162,7 @@ class OddCoord(Expr):
     def __new__(cls, j):
         _check_index("odd", j)
         key = (cls, j)
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.j = j
-            node.parity = ODD
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(key, cls, (j,), ODD)
 
 
 class Const(Expr):
@@ -156,13 +172,7 @@ class Const(Expr):
         if isinstance(value, int):
             value = Fraction(value)
         key = (cls, _number_key(value))
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.value = value
-            node.parity = EVEN
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(key, cls, (value,), EVEN)
 
 
 class Add(Expr):
@@ -171,14 +181,9 @@ class Add(Expr):
 
     def __new__(cls, a, b):
         key = (cls, id(a), id(b))
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.a = a
-            node.b = b
-            node.parity = a.parity if a.parity == b.parity else MIXED
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(
+            key, cls, (a, b), a.parity if a.parity == b.parity else MIXED
+        )
 
 
 class Mul(Expr):
@@ -187,17 +192,10 @@ class Mul(Expr):
 
     def __new__(cls, a, b):
         key = (cls, id(a), id(b))
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.a = a
-            node.b = b
-            if MIXED in (a.parity, b.parity):
-                node.parity = MIXED
-            else:
-                node.parity = ODD if a.parity != b.parity else EVEN
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(
+            key, cls, (a, b),
+            MIXED if MIXED in (a.parity, b.parity) else ODD if a.parity != b.parity else EVEN,
+        )
 
 
 class Neg(Expr):
@@ -206,13 +204,7 @@ class Neg(Expr):
 
     def __new__(cls, a):
         key = (cls, id(a))
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.a = a
-            node.parity = a.parity
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(key, cls, (a,), a.parity)
 
 
 class ScalarMul(Expr):
@@ -223,14 +215,7 @@ class ScalarMul(Expr):
         if isinstance(c, int):
             c = Fraction(c)
         key = (cls, _number_key(c), id(a))
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            node = object.__new__(cls)
-            node.c = c
-            node.a = a
-            node.parity = a.parity
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(key, cls, (c, a), a.parity)
 
 
 class Apply(Expr):
@@ -240,19 +225,10 @@ class Apply(Expr):
     arity = 1
 
     def __new__(cls, fn, a):
+        if fn not in ANALYTIC_FUNCTIONS:
+            raise ParseError(f"unknown analytic function {fn!r}")
         key = (cls, fn, id(a))
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            if fn not in ANALYTIC_FUNCTIONS:
-                raise ParseError(f"unknown analytic function {fn!r}")
-            if a.parity != EVEN:
-                raise ParityError(f"{fn} needs an even operand, got {a.parity}")
-            node = object.__new__(cls)
-            node.fn = fn
-            node.a = a
-            node.parity = EVEN
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(key, cls, (fn, a), _even_operand(fn, a))
 
 
 class IntPow(Expr):
@@ -263,16 +239,9 @@ class IntPow(Expr):
         if not isinstance(n, int) or n < 0:
             raise ParseError("integer power needs a non-negative int exponent")
         key = (cls, id(a), n)
-        node = _NODES.get(key, _dead)()
-        if node is None:
-            if a.parity != EVEN:
-                raise ParityError(f"integer power needs an even operand, got {a.parity}")
-            node = object.__new__(cls)
-            node.a = a
-            node.n = n
-            node.parity = EVEN
-            _NODES[key] = weakref.ref(node, partial(_drop, key))
-        return node
+        return _NODES.get(key, _dead)() or _enter(
+            key, cls, (a, n), _even_operand("integer power", a)
+        )
 
 
 ZERO = Const(Fraction(0))
@@ -404,25 +373,9 @@ def _hash_of(n, *kids):
 
 
 def _key_of(n, *keys):
-    if isinstance(n, Const):
-        return ("const", n.value)
-    if isinstance(n, EvenCoord):
-        return ("x", n.i)
-    if isinstance(n, OddCoord):
-        return ("theta", n.j)
-    if isinstance(n, Add):
-        return ("add", *keys)
-    if isinstance(n, Mul):
-        return ("mul", *keys)
-    if isinstance(n, Neg):
-        return ("neg", *keys)
-    if isinstance(n, ScalarMul):
-        return ("scalarmul", n.c, *keys)
-    if isinstance(n, IntPow):
-        return ("intpow", n.n, *keys)
-    if isinstance(n, Apply):
-        return (n.fn, *keys)
-    raise unknown_node(n)
+    """``n``'s structure from its children's keys: its class, the values of
+    its slots that hold no child, then ``keys``."""
+    return (type(n), *[getattr(n, s) for s in n.__slots__ if s not in ("a", "b")], *keys)
 
 
 def max_indices(e):
@@ -515,8 +468,6 @@ def _poly_of(n, *kids):
 
 
 def _poly_mul(pa, pb):
-    from .algebra import merge_sign
-
     out = {}
     for (ea, ma), ca in pa.items():
         da = dict(ea)
@@ -534,13 +485,6 @@ def _poly_mul(pa, pb):
             else:
                 out.pop(key, None)
     return out
-
-
-def polynomials_equal(e1, e2):
-    p1, p2 = poly_dict(e1), poly_dict(e2)
-    if p1 is None or p2 is None:
-        raise ParseError("symbolic equality needs polynomial expressions")
-    return p1 == p2
 
 
 # -- text form ------------------------------------------------------------------
@@ -763,68 +707,3 @@ def _const_text(v):
 def _wrap(rendered, ctx):
     text, prec = rendered
     return f"({text})" if prec < ctx else text
-
-
-# -- JSON form (mirrors the AST) ------------------------------------------------
-
-
-def expr_to_json(e):
-    return fold(e, _json_of)
-
-
-def _json_of(n, *args):
-    if isinstance(n, Const):
-        v = n.value
-        if isinstance(v, Fraction):
-            return {"op": "const", "value": str(v)}
-        if isinstance(v, complex):
-            return {"op": "const", "value": [v.real, v.imag], "field": "complex"}
-        return {"op": "const", "value": v}
-    if isinstance(n, EvenCoord):
-        return {"op": "x", "i": n.i}
-    if isinstance(n, OddCoord):
-        return {"op": "theta", "j": n.j}
-    if isinstance(n, Add):
-        return {"op": "add", "args": list(args)}
-    if isinstance(n, Mul):
-        return {"op": "mul", "args": list(args)}
-    if isinstance(n, Neg):
-        return {"op": "neg", "args": list(args)}
-    if isinstance(n, ScalarMul):
-        return {"op": "scalarmul", "value": str(n.c) if isinstance(n.c, Fraction) else n.c,
-                "args": list(args)}
-    if isinstance(n, IntPow):
-        return {"op": "intpow", "n": n.n, "args": list(args)}
-    if isinstance(n, Apply):
-        return {"op": n.fn, "args": list(args)}
-    raise unknown_node(n)
-
-
-def expr_from_json(obj):
-    op = obj["op"]
-    if op == "const":
-        v = obj["value"]
-        if isinstance(v, str):
-            return Const(Fraction(v))
-        if isinstance(v, list):
-            return Const(complex(v[0], v[1]))
-        return Const(v)
-    if op == "x":
-        return EvenCoord(obj["i"])
-    if op == "theta":
-        return OddCoord(obj["j"])
-    args = [expr_from_json(a) for a in obj.get("args", [])]
-    if op == "add":
-        return Add(*args)
-    if op == "mul":
-        return Mul(*args)
-    if op == "neg":
-        return Neg(*args)
-    if op == "scalarmul":
-        c = obj["value"]
-        return ScalarMul(Fraction(c) if isinstance(c, str) else c, args[0])
-    if op == "intpow":
-        return IntPow(args[0], obj["n"])
-    if op in ANALYTIC_FUNCTIONS:
-        return Apply(op, args[0])
-    raise ParseError(f"unknown expression op {op!r}")

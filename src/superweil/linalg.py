@@ -87,16 +87,3 @@ def intersect_row_spaces(rows_a, rows_b, ncols, field):
     stacked += [{j + ncols: c for j, c in v.items()} for v in rows_b]
     reduced, pivots = rref_desc(stacked, field)
     return [row for row, col in zip(reduced, pivots) if col < ncols]
-
-
-def in_row_space(vector, rows, pivot_cols, field):
-    """Whether ``vector`` lies in the span of descending-pivot RREF ``rows``."""
-    residue = dict(vector)
-    for row, col in zip(rows, pivot_cols):
-        factor = residue.get(col, field.zero)
-        if field.is_zero(factor):
-            continue
-        for j, c in row.items():
-            residue[j] = residue.get(j, field.zero) - factor * c
-    scale = max((field.norm(c) for c in vector.values()), default=1.0)
-    return all(field.negligible(c, scale) for c in residue.values())

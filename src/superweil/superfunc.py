@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import expr as ex
+from .algebra import merge_sign
 from .errors import EvaluationError, ParityError, RegionError
 from .fields import Field, infer_field
 
@@ -316,8 +317,6 @@ def _components(e):
 
 
 def _mul_components(ca, cb):
-    from .algebra import merge_sign
-
     out = {}
     for ma, fa in ca.items():
         for mb, fb in cb.items():

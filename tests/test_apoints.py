@@ -25,6 +25,7 @@ from superweil import (
     make_grassmann,
     make_morphism,
     make_truncated,
+    product_domain,
     product_point,
     pushforward_algebra,
     scalar_projection,
@@ -32,9 +33,22 @@ from superweil import (
     split_point,
     trivial_point,
 )
-from superweil.apoints import embed_section_left, embed_section_right
+from superweil import expr as ex
 from superweil.battery import rand_point, rand_polynomial_expr, rand_section
 from superweil.fields import REAL
+
+
+def embed_section_left(s, v):
+    """View a section on U as a section on U x V."""
+    return Section(product_domain(s.domain, v), s.expr)
+
+
+def embed_section_right(s, u):
+    """View a section on V as a section on U x V."""
+    even_map = {i: ex.EvenCoord(i + u.p) for i in range(1, s.domain.p + 1)}
+    odd_map = {j: ex.OddCoord(j + u.q) for j in range(1, s.domain.q + 1)}
+    return Section(product_domain(u, s.domain), ex.substitute(s.expr, even_map, odd_map))
+
 
 U10 = SuperDomain(1, 0)
 U12 = SuperDomain(1, 2)

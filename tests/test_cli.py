@@ -270,6 +270,23 @@ class TestMalformedInput:
                 "--section", "x1"]
         self.fails_cleanly(args, capsys)
 
+    @pytest.mark.parametrize("coeffs", [
+        "5", '[{"nu": 1, "a": 1}]', '[{"nu": [0], "J": 3, "a": 1}]', '[{"nu": ["a"], "a": 1}]',
+    ], ids=["not-a-list", "nu-not-a-list", "J-not-a-list", "nu-entry-not-an-int"])
+    def test_dist_coefficient_of_the_wrong_shape(self, coeffs, capsys):
+        args = ["dist", "--base", "1", "--order", "2", "--section", "x1", "--coeffs", coeffs]
+        self.fails_cleanly(args, capsys)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_selftest_scale_is_a_usage_error(self, scale, capsys):
+        from superweil import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--scale", scale])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale: not a finite number" in err and "Traceback" not in err
+
     def test_series_without_slots(self, tmp_path, capsys):
         path = tmp_path / "series.json"
         path.write_text(json.dumps({"source": [1, 0], "target": [1, 0], "order": 2}))

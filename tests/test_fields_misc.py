@@ -1,4 +1,4 @@
-"""Field instantiations, AST JSON form, size caps, cross-algebra errors."""
+"""Field instantiations, expression text in JSON, size caps, cross-algebra errors."""
 
 import cmath
 from fractions import Fraction as F
@@ -18,7 +18,7 @@ from superweil import (
     section,
 )
 from superweil import expr as ex
-from superweil.expr import expr_from_json, expr_to_json, parse_expr
+from superweil.expr import parse_expr, to_text
 from superweil.fields import COMPLEX, RATIONAL, REAL, field_by_name, infer_field
 
 
@@ -80,6 +80,8 @@ class TestFieldHelpers:
 
 
 class TestExprJson:
+    """Series and workspace JSON store each expression as its text form."""
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -91,11 +93,13 @@ class TestExprJson:
     )
     def test_round_trip(self, text):
         e = parse_expr(text, 2, 2)
-        assert expr_from_json(expr_to_json(e)) == e
+        assert parse_expr(to_text(e)) == e
 
     def test_float_constant(self):
         e = ex.scalar_mul(0.25, ex.EvenCoord(1))
-        assert expr_from_json(expr_to_json(e)) == e
+        assert parse_expr(to_text(e)) == e
+        # a float stays a float, so the text parses back to the very node
+        assert parse_expr(to_text(e)) is e
 
 
 class TestNonFiniteScalars:

@@ -8,7 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superweil.fields import COMPLEX, RATIONAL, REAL
-from superweil.linalg import in_row_space, intersect_row_spaces, rref_desc
+from superweil.linalg import intersect_row_spaces, rref_desc
+
+
+def in_row_space(vector, rows, pivot_cols, field):
+    """Whether ``vector`` lies in the span of descending-pivot RREF ``rows``."""
+    residue = dict(vector)
+    for row, col in zip(rows, pivot_cols):
+        factor = residue.get(col, field.zero)
+        if field.is_zero(factor):
+            continue
+        for j, c in row.items():
+            residue[j] = residue.get(j, field.zero) - factor * c
+    scale = max((field.norm(c) for c in vector.values()), default=1.0)
+    return all(field.negligible(c, scale) for c in residue.values())
 
 
 def rand_matrix(rng, rows, cols, span=3):

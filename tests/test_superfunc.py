@@ -36,9 +36,15 @@ from superweil import (
 from superweil import expr as ex
 from superweil.apoints import eval_ast
 from superweil.battery import rand_polynomial_expr
-from superweil.expr import parse_expr, poly_dict, polynomials_equal, to_text
+from superweil.expr import parse_expr, poly_dict, to_text
 from superweil.fields import REAL
 from superweil.nattrans import apply_series
+
+
+def polynomials_equal(e1, e2):
+    p1, p2 = poly_dict(e1), poly_dict(e2)
+    assert p1 is not None and p2 is not None, "symbolic equality needs polynomials"
+    return p1 == p2
 
 
 class TestParsing:
@@ -319,6 +325,42 @@ def test_nodes_are_hash_consed_and_re_interned_by_pickle_and_copy():
         assert again is e
     s = Section(SuperDomain(1, 1), e)
     assert pickle.loads(pickle.dumps(s)).expr is e and copy.deepcopy(s).expr is e
+
+
+X1, X2, TH1 = ex.EvenCoord(1), ex.EvenCoord(2), ex.OddCoord(1)
+
+# per node class: arguments, the node's parity, arguments of another node of
+# the class, and arguments its checks reject with the error they raise
+NODE_CASES = [
+    (ex.EvenCoord, (1,), "even", (2,), [((0,), ParseError), ((1.0,), ParseError)]),
+    (ex.OddCoord, (1,), "odd", (2,), [((0,), ParseError)]),
+    (ex.Const, (F(1, 2),), "even", (F(1, 3),), []),
+    (ex.Add, (X1, TH1), "mixed", (TH1, X1), []),
+    (ex.Mul, (X1, TH1), "odd", (X1, X2), []),
+    (ex.Neg, (TH1,), "odd", (X1,), []),
+    (ex.ScalarMul, (F(2), TH1), "odd", (F(3), TH1), []),
+    (ex.Apply, ("exp", X1), "even", ("sin", X1),
+     [(("tan", X1), ParseError), (("exp", TH1), ParityError)]),
+    (ex.IntPow, (X1, 2), "even", (X1, 3), [((X1, -1), ParseError), ((TH1, 2), ParityError)]),
+]
+
+
+@pytest.mark.parametrize("cls, args, parity, other, bad", NODE_CASES,
+                         ids=[case[0].__name__ for case in NODE_CASES])
+def test_every_node_class_is_interned_keyed_and_checked(cls, args, parity, other, bad):
+    node = cls(*args)
+    assert node is cls(*args) and node.parity == parity
+    assert tuple(getattr(node, name) for name in cls.__slots__) == args
+    for again in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert again is node
+    # the structural key tells the node from one of another payload or class
+    key = ex.fold(node, ex._key_of)
+    others = [cls(*other)] + [c(*a) for c, a, *_ in NODE_CASES if c is not cls]
+    for o in others:
+        assert ex.fold(o, ex._key_of) != key and o != node
+    for bad_args, error in bad:
+        with pytest.raises(error):
+            cls(*bad_args)
 
 
 def test_threads_racing_on_the_intern_table_build_equal_nodes():
