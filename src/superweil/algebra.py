@@ -310,21 +310,36 @@ class SuperWeilAlgebra:
     def _power_dims(self):
         """Dimensions of nil, nil^2, ... down to the last non-zero power.
 
-        When every stored ideal row is degree-homogeneous, a pivot's normal
-        form has the pivot's degree, so A = sum of the spans A_d of the
-        degree-d basis monomials and A_a * A_b lies in A_(a+b).  A basis
-        monomial of degree d >= r is +-(the product of its d generators),
-        each a degree-1 element of nil, so it lies in nil^r; hence nil^r is
-        the sum of the A_d with d >= r, and its dimension is a count of basis
-        monomials.  Otherwise the powers come from products with the
-        generators (:func:`_power_dims_by_products`).
+        nil^r is the image of m^r, which the ambient monomials of degree >= r
+        span.  A basis monomial is its own image, and a pivot p's image is
+        -tail(p), its stored row without p.  So nil^r is spanned by the basis
+        monomials of degree >= r and the tails of the pivots of degree >= r,
+        and dim nil^r is the number of those basis monomials plus the rank
+        of those tails restricted to the columns of degree < r (the
+        Hilbert-Samuel function of the algebra; Greuel & Pfister, *A Singular
+        Introduction to Commutative Algebra*, 2nd ed.).  Columns ascend in
+        degree, so a row whose lowest entry has its pivot's degree adds
+        nothing; every row of a graded ideal is such a row, and a graded
+        algebra's dimensions are counts of basis monomials.  nil^s = 0 in a
+        degree-s truncation.
         """
         basis = self.ambient_basis
-        # rows ascend in degree, so a row is homogeneous iff its ends agree
-        if any(basis[row[0][0]].degree() != basis[row[-1][0]].degree() for row in self.ideal_rows):
-            return _power_dims_by_products(self)
+        # (lowest degree, pivot degree, [(column, degree, coefficient)]) of
+        # each row with an entry below its pivot's degree
+        mixed = []
+        for row in self.ideal_rows:
+            low, top = basis[row[0][0]].degree(), basis[row[-1][0]].degree()
+            if low < top:
+                mixed.append((low, top, [(i, basis[i].degree(), c) for i, c in row]))
         degrees = [m.degree() for m in self.quotient_basis]
-        return tuple(sum(d >= r for d in degrees) for r in range(1, max(degrees) + 1))
+        dims = []
+        for r in range(1, self.s):
+            tails = [{i: c for i, d, c in row if d < r} for low, top, row in mixed if low < r <= top]
+            n = sum(d >= r for d in degrees) + (len(rref_desc(tails, self.field)[0]) if tails else 0)
+            if not n:
+                break
+            dims.append(n)
+        return tuple(dims)
 
     def height(self):
         """Smallest r such that the (r+1)-st power of the nilpotent ideal is 0."""
@@ -334,39 +349,6 @@ class SuperWeilAlgebra:
         """Dimension of nil modulo nil^2."""
         dims = self._power_dims + (0, 0)
         return dims[0] - dims[1]
-
-
-def _power_dims_by_products(algebra):
-    """``algebra._power_dims`` for any ideal: nil^(r+1) = sum over the
-    generators g of nil^r * g, each level row-reduced, and nil^s = 0 in a
-    degree-s truncation, so at most s-1 powers are computed.  On inexact
-    fields a product negligible at the scale of its factors is float residue
-    of a zero product and is dropped before row reduction; exact fields drop
-    only zero products, so they need no norms.
-    """
-    field, index, basis = algebra.field, algebra.basis_index, algebra.quotient_basis
-    exact = field.exact
-    gens = [(g, 0.0 if exact else g.norm()) for g in algebra.generators() if not g.is_zero()]
-    level = [AlgebraElement(algebra, {m: field.one}) for m in algebra.nil_monomials()]
-    dims = []
-    while level:
-        dims.append(len(level))
-        if len(dims) == algebra.s - 1:
-            break
-        rows = []
-        for u in level:
-            u_norm = 0.0 if exact else u.norm()
-            for g, g_norm in gens:
-                w = u * g
-                if not _negligible_element(w, u_norm * g_norm):
-                    rows.append({index[m]: c for m, c in w.coeffs.items()})
-        rows, _ = rref_desc(rows, field)
-        # ascending basis order, so that float products sum in one order
-        level = [
-            AlgebraElement(algebra, {basis[i]: c for i, c in sorted(row.items())})
-            for row in rows
-        ]
-    return tuple(dims)
 
 
 class AlgebraElement:
@@ -851,13 +833,6 @@ def as_element(algebra, value):
             raise AlgebraError(f"element {value!r} lives in the wrong algebra")
         return value
     return algebra.scalar(value)
-
-
-def _negligible_element(elem, scale):
-    field = elem.algebra.field
-    if field.exact:
-        return elem.is_zero()
-    return elem.norm() <= 1e-9 * max(1.0, scale)
 
 
 def apply_morphism(rho, elem):

@@ -304,6 +304,14 @@ def finite_float(text):
     return value
 
 
+def tolerance(text):
+    """argparse type of a tolerance: finite and >= 0, as NaN passes every residual."""
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative number: {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="superweil",
@@ -348,7 +356,7 @@ def build_parser():
     p = sub.add_parser("check-nat", help="run the morphism-origin recursion checker")
     p.add_argument("--series", required=True, help="series JSON file")
     p.add_argument("--points", required=True, help='semicolon-separated tuples "1;2,0"')
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=tolerance, default=0.0)
     common(p, workspace=False)
     p.set_defaults(func=cmd_check_nat)
 

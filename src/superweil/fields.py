@@ -68,12 +68,6 @@ class Field:
             return False
         return True
 
-    def negligible(self, value, scale=1.0):
-        """Zero test used by row reduction (exact on exact fields)."""
-        if self.exact:
-            return not value
-        return self.norm(value) <= 1e-12 * max(1.0, scale)
-
     def function_value(self, fn, x):
         """Value of a transcendental primitive at a field scalar; overflow and
         arguments outside the function's domain are evaluation errors."""

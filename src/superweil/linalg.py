@@ -2,7 +2,7 @@
 
 A row is a ``{column: coefficient}`` dict that holds its non-zero entries
 only.  Everything here is exact on the rational field; on the float fields a
-relative threshold decides negligibility.  The ideal machinery pivots on the
+running error bound decides negligibility.  The ideal machinery pivots on the
 *highest*-index column of each row (columns are ordered by the monomial
 order, so the pivot is the leading monomial).
 """
@@ -18,16 +18,25 @@ def rref_desc(rows, field):
     pivot coefficient 1, pivot column eliminated from every other row.  Rows
     come out as dicts sorted by decreasing pivot column; zero rows are
     dropped.  Exact fields pivot on the first row in index order, float
-    fields on the largest magnitude, and there an entry negligible against
-    the pivot row is dropped after each elimination.
+    fields on the largest magnitude.
+
+    After an elimination only the entries it touched are tested: exact
+    fields drop zeros, float fields an entry at most 1e-12 times its running
+    bound on the magnitudes summed into it (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed.).  The bound is ``|c|`` for an input
+    entry and ``bound + |factor| * pivot bound`` after an update, and
+    normalizing the pivot row divides its bounds by ``|scale|``.  Residue
+    within that bound never becomes a pivot, and no untouched entry, a
+    finished unit pivot above all, is dropped.
 
     ``holders[j]`` is the set of rows, used or not, with an entry in column
     j.  Each pivot column is the largest column left of the previous one
     that an unused row holds, so one downward sweep over the columns meets
     every pivot, and an elimination visits only the rows holding its column.
     """
-    zero, exact, negligible = field.zero, field.exact, field.negligible
+    zero, exact, norm = field.zero, field.exact, field.norm
     work = [{j: c for j, c in r.items() if not field.is_zero(c)} for r in rows]
+    bounds = None if exact else [{j: norm(c) for j, c in r.items()} for r in work]
     holders = {}
     for i, row in enumerate(work):
         for j in row:
@@ -45,7 +54,7 @@ def rref_desc(rows, field):
             for i in sorted(held):
                 if used[i]:
                     continue
-                nrm = field.norm(work[i][col])
+                nrm = norm(work[i][col])
                 if nrm > best_norm:
                     best, best_norm = i, nrm
         if best < 0:
@@ -53,20 +62,28 @@ def rref_desc(rows, field):
         used[best] = True
         scale = work[best][col]
         piv = work[best] = {j: c / scale for j, c in work[best].items()}
-        scale_norm = 1.0 if exact else max(field.norm(c) for c in piv.values())
+        if not exact:
+            scale_norm = norm(scale)
+            piv_bound = bounds[best] = {j: b / scale_norm for j, b in bounds[best].items()}
         for i in [i for i in held if i != best]:
             row = work[i]
             factor = row[col]
+            if not exact:
+                bound, factor_norm = bounds[i], norm(factor)
             for j, p in piv.items():
                 old = row.get(j)
                 if old is None:
-                    row[j] = zero - factor * p
+                    old = zero
                     holders[j].add(i)  # the pivot row holds j: the set exists
+                v = row[j] = old - factor * p
+                if exact:
+                    if v:
+                        continue
                 else:
-                    row[j] = old - factor * p
-            # exact fields can only zero the entries just touched; float
-            # fields drop whatever is negligible against the pivot row
-            for j in [j for j in (piv if exact else row) if negligible(row[j], scale_norm)]:
+                    b = bound[j] = bound.get(j, 0.0) + factor_norm * piv_bound[j]
+                    if not norm(v) <= 1e-12 * b:  # a NaN is kept, as it is on input
+                        continue
+                    del bound[j]
                 del row[j]
                 holders[j].discard(i)
         out.append(piv)

@@ -170,9 +170,12 @@ def check_comes_from_morphism(
 
     Every (slot, i, nu, J) with |nu| < order where either side is present is
     evaluated at each point; non-evaluable coefficients are flagged rather
-    than fatal.  An empty violation list is consistency evidence only (see
+    than fatal.  A residual of norm above ``tol``, a non-negative number, is
+    a violation.  An empty violation list is consistency evidence only (see
     the report note).
     """
+    if not tol >= 0:  # a NaN tolerance would pass every residual
+        raise AlgebraError(f"tolerance {tol!r} is not a non-negative number")
     if scalar_field is None:
         scalar_field = infer_field([v for pt in sample_points for v in pt])
     p, q = series.source_dims

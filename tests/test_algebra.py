@@ -35,7 +35,6 @@ from superweil.algebra import (
     SuperWeilAlgebra,
     _ambient,
     _ambient_monomials,
-    _power_dims_by_products,
     mul_monomials,
 )
 from superweil.battery import constructor_families
@@ -348,7 +347,7 @@ class TestHeightWidth:
         assert (g * g.inverse() - a.one()).norm() < 1e-9
 
 
-# -- graded heights are degree counts; the product path is their reference -------
+# -- graded heights are degree counts; brute force is their reference -----------
 
 
 def _homogeneous_generator(algebra, rng):
@@ -377,37 +376,37 @@ def _graded_algebras(field):
 
 
 @pytest.fixture
-def product_path_calls(monkeypatch):
-    """The algebras whose powers went through the product path."""
+def rref_calls(monkeypatch):
+    """The row reductions that ``algebra`` runs once the fixture is set up."""
     calls = []
 
-    def recorded(algebra):
-        calls.append(algebra)
-        return _power_dims_by_products(algebra)
+    def recorded(rows, field):
+        calls.append(rows)
+        return rref_desc(rows, field)
 
-    monkeypatch.setattr(algebra_module, "_power_dims_by_products", recorded)
+    monkeypatch.setattr(algebra_module, "rref_desc", recorded)
     return calls
 
 
 @pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
-def test_graded_power_dims_are_degree_counts(field, product_path_calls):
-    for a in _graded_algebras(field):
+def test_graded_power_dims_are_degree_counts(field, rref_calls):
+    algebras = list(_graded_algebras(field))
+    rref_calls.clear()
+    for a in algebras:
         got = a._power_dims
-        assert product_path_calls == [], a
-        assert got == _power_dims_by_products(a), a
+        assert rref_calls == [], a
+        assert got == tuple(brute_power_dims(a)), a
 
 
-def test_non_graded_cli_quotient_takes_the_product_path(product_path_calls):
+def test_non_graded_cli_quotient_takes_the_product_path():
     a = parse_algebra_spec("quot:trunc:2,2,4;t1^2-t2*z1*z2;t1*t2")
     assert a._power_dims == (15, 11, 5)
-    assert product_path_calls == [a]
     assert (a.height(), a.width()) == (3, 4)
 
 
-def test_non_graded_real_quotient_takes_the_product_path(product_path_calls):
+def test_non_graded_real_quotient_takes_the_product_path():
     q = _ill_conditioned_quotient(REAL)[1]
     assert q._power_dims == (16, 14, 12, 10, 8, 6, 4, 2)
-    assert product_path_calls == [q]
 
 
 class TestTensor:
@@ -865,3 +864,67 @@ def test_quotient_multiplies_by_no_monomial_past_the_truncation():
     row = a._products[Monomial((3, 0, 0), 0)]
     assert len(row) == 10
     assert all(m.degree() < 3 for m in row)
+
+
+# -- every field builds the algebra that RATIONAL builds ----------------------------
+
+
+def _real_join(field):
+    # RATIONAL: dim 44; a rank rule judged against the pivot row gave REAL a
+    # residue pivot and dim 45
+    a = make_truncated(2, 2, 7, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    q1 = quotient(a, [t1 * t2 * _c(field, "1/2"), t2 ** 2 * _c(field, "-5/9") + t1 * t2 * _c(field, "2/5")])[0]
+    q2 = quotient(a, [t1 * _c(field, "5") - t2 * _c(field, "1/3") - t1 * t2 * _c(field, "4/7")])[0]
+    return join(q1, q2)[0]
+
+
+def _real_tensor(field):
+    # RATIONAL: dim 84; residue once left REAL at dim 58 with empty ideal rows
+    a = make_truncated(2, 1, 8, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    g = t2 ** 2 * _c(field, "-4/3") - t1 * t2 * _c(field, "7/9") - t2 ** 3 * _c(field, "3/5")
+    return tensor(quotient(a, [g])[0], make_truncated(1, 0, 3, field))[0]
+
+
+def _seeded_member(seed, field):
+    """A quotient, join, tensor or nested quotient (by ``seed % 4``) whose
+    shapes and rational coefficients depend on ``seed`` alone; generators
+    are drawn on truncated ambients, which every field shares.  From seed 24
+    on they have no linear terms, which would collapse most of the ambient."""
+    rng = random.Random(seed)
+    kind = seed % 4
+
+    def generator(algebra, parity):
+        g = _random_generator(algebra, rng, parity)
+        return g if seed < 24 else algebra.element({m: c for m, c in g.coeffs.items() if m.degree() > 1})
+
+    if kind == 2:
+        a = make_truncated(rng.randint(1, 2), rng.randint(0, 1), rng.randint(3, 6), field)
+        b = make_truncated(1, rng.randint(0, 1), rng.randint(2, 3), field)
+        return tensor(quotient(a, [generator(a, 0)])[0], b)[0]
+    a = make_truncated(rng.randint(1, 3), rng.randint(0, 2), rng.randint(3, 7), field)
+    gens = [generator(a, p) for p in [0, 0] + [1] * (a.l > 0)]
+    if kind == 0:
+        return quotient(a, gens)[0]
+    if kind == 1:
+        return join(quotient(a, gens[:1])[0], quotient(a, gens[1:])[0])[0]
+    q, proj = quotient(a, gens[:1])
+    return quotient(q, [proj(g) for g in gens[1:]])[0]
+
+
+CROSS_FIELD = {
+    "real-join": _real_join,
+    "ill-conditioned-quotient": lambda field: _ill_conditioned_quotient(field)[1],
+    "real-tensor": _real_tensor,
+    **{f"seed-{seed}": functools.partial(_seeded_member, seed) for seed in range(48)},
+}
+
+
+@pytest.mark.parametrize("member", list(CROSS_FIELD))
+def test_every_field_agrees_with_rational(member):
+    want = CROSS_FIELD[member](RATIONAL)
+    for field in (REAL, COMPLEX):
+        got = CROSS_FIELD[member](field)
+        assert got.pivot_cols == want.pivot_cols, field
+        assert (got.dim, got._power_dims) == (want.dim, want._power_dims), field

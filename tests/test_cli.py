@@ -82,6 +82,15 @@ class TestCommands:
         info = json.loads(proc.stdout)
         assert info["dim"] == 4
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_float_tensor_of_a_non_graded_quotient(self, field):
+        # float residue of the tensor's ideal once became pivots here: dim 58
+        # and a height() that raised IndexError
+        spec = "tensor:quot:trunc:2,1,8;-4/3*t2^2-7/9*t1*t2-3/5*t2^3,trunc:1,0,3"
+        proc = run(["algebra", "--spec", spec, "--field", field], check=True)
+        info = json.loads(proc.stdout)
+        assert (info["dim"], info["height"], info["width"]) == (84, 9, 4)
+
     def test_eval_float_field(self):
         proc = run(
             [
@@ -286,6 +295,17 @@ class TestMalformedInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --scale: not a finite number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_check_nat_tolerance_is_finite_and_non_negative(self, tol, capsys):
+        from superweil import cli
+
+        # argparse rejects the value before the series file is opened
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-nat", "--series", "series.json", "--points", "1", "--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol: not a" in err and "Traceback" not in err
 
     def test_series_without_slots(self, tmp_path, capsys):
         path = tmp_path / "series.json"

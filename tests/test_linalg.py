@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superweil.fields import COMPLEX, RATIONAL, REAL
@@ -20,8 +20,10 @@ def in_row_space(vector, rows, pivot_cols, field):
             continue
         for j, c in row.items():
             residue[j] = residue.get(j, field.zero) - factor * c
+    if field.exact:
+        return not any(residue.values())
     scale = max((field.norm(c) for c in vector.values()), default=1.0)
-    return all(field.negligible(c, scale) for c in residue.values())
+    return all(field.norm(c) <= 1e-12 * max(1.0, scale) for c in residue.values())
 
 
 def rand_matrix(rng, rows, cols, span=3):
@@ -118,6 +120,8 @@ def scan_rref_desc(rows, field):
     """The reference: each pivot column found by a scan of every entry of
     every unused row, each elimination by a walk over every row."""
     work = [{j: c for j, c in r.items() if not field.is_zero(c)} for r in rows]
+    # beside each entry, the sum of the magnitudes of the terms summed into it
+    bounds = [{j: field.norm(c) for j, c in r.items()} for r in work]
     used = [False] * len(work)
     pivots = []
     out = []
@@ -146,18 +150,20 @@ def scan_rref_desc(rows, field):
         used[best] = True
         scale = work[best][col]
         piv = work[best] = {j: c / scale for j, c in work[best].items()}
-        scale_norm = 1.0 if field.exact else max(field.norm(c) for c in piv.values())
+        piv_bound = bounds[best] = {j: b / field.norm(scale) for j, b in bounds[best].items()}
         for i, row in enumerate(work):
             factor = row.get(col)
             if i == best or factor is None:
                 continue
+            bound = bounds[i]
             for j, p in piv.items():
                 row[j] = row.get(j, field.zero) - factor * p
-            # exact fields can only zero the entries just touched; float
-            # fields drop whatever is negligible against the pivot row
-            for j in [j for j in (piv if field.exact else row)
-                      if field.negligible(row[j], scale_norm)]:
-                del row[j]
+                bound[j] = bound.get(j, 0.0) + field.norm(factor) * piv_bound[j]
+            # only the entries just touched can vanish: exact fields drop
+            # zeros, float fields residue against the running bound
+            for j in piv:
+                if not row[j] if field.exact else field.norm(row[j]) <= 1e-12 * bound[j]:
+                    del row[j], bound[j]
         out.append(piv)
         pivots.append(col)
     return out, pivots
@@ -209,3 +215,17 @@ def test_rref_desc_matches_the_scan(field, rows):
         assert got == want
     else:
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(rows=sparse_matrices())
+# the elimination of column 1 leaves the first row's unit pivot untouched
+# beside an entry of -1e13; a rule judged against the row's largest entry
+# dropped that pivot
+@example(rows=[{2: F(1), 1: F(1)}, {1: F(1), 0: F(10**13)}])
+def test_every_row_holds_its_unit_pivot(field, rows):
+    reduced, pivots = rref_desc(_on(field, rows), field)
+    for row, col in zip(reduced, pivots):
+        assert max(row) == col
+        assert field.norm(row[col] - 1) <= 1e-15, (row, col)

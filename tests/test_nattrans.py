@@ -248,6 +248,19 @@ class TestChecker:
         assert any("not evaluable" in n for n in notes)
         assert any("recursion violated" in n for n in notes)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_tolerance_must_be_a_non_negative_number(self, tol):
+        # every comparison with NaN is false, so a NaN tolerance passed a
+        # series whose x1^2 coefficient is wrong
+        series = TruncatedFormalSeries(
+            (1, 0), (1, 0), 2, ({((0,), ()): parse_expr("x1^2 + x1", 1, 0),
+                                 ((1,), ()): parse_expr("2*x1 + 1", 1, 0),
+                                 ((2,), ()): ex.Const(F(5))},)
+        )
+        assert not check_comes_from_morphism(series, SAMPLES).passed
+        with pytest.raises(AlgebraError, match="tolerance"):
+            check_comes_from_morphism(series, SAMPLES, tol)
+
     def test_report_json_shape(self):
         series = TruncatedFormalSeries(
             (1, 0), (1, 0), 2, ({((0,), ()): parse_expr("x1^2", 1, 0)},)
