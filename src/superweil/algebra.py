@@ -88,10 +88,23 @@ def _sort_key(m, l):
     return (m.degree(), m.nu, bits)
 
 
+_COUNT_LIMIT = 10 ** 12  # ambient_dim counts exactly up to here, then stops
+
+
 def ambient_dim(k, l, s):
     """Number of monomials of total degree < s, without listing them: j odd
-    generators leave degree s-1-j to k even ones."""
-    return sum(comb(l, j) * comb(k + s - 1 - j, k) for j in range(min(l, s - 1) + 1))
+    generators leave degree s-1-j to k even ones.  The count stops once it
+    passes _COUNT_LIMIT and is then None, so a huge shape costs a few steps:
+    comb(n, r) with r and n - r both above 40 is at least comb(82, 41), past
+    the limit, and every other binomial takes at most 40 steps."""
+    total = 0
+    for j in range(min(l, s - 1) + 1):
+        if min(j, l - j) > 40 or min(k, s - 1 - j) > 40:
+            return None
+        total += comb(l, j) * comb(k + s - 1 - j, k)
+        if total > _COUNT_LIMIT:
+            return None
+    return total
 
 
 def _ambient_monomials(k, l, s):
@@ -157,11 +170,9 @@ class SuperWeilAlgebra:
         self.l = l
         self.s = s
         ambient = ambient_dim(k, l, s)
-        if ambient > MAX_AMBIENT_DIM:
-            raise AlgebraError(
-                f"ambient dimension {ambient} exceeds the "
-                f"ambient cap {MAX_AMBIENT_DIM}"
-            )
+        if ambient is None or ambient > MAX_AMBIENT_DIM:
+            size = f"above {_COUNT_LIMIT}" if ambient is None else ambient
+            raise AlgebraError(f"ambient dimension {size} exceeds the ambient cap {MAX_AMBIENT_DIM}")
         self.ambient_basis, self._ambient_index = _ambient(k, l, s)
         ideal_rows, pivots = rref_desc(ideal_rows, field)
         self.ideal_rows = tuple(tuple(sorted(r.items())) for r in ideal_rows)
@@ -636,30 +647,29 @@ def quotient(ambient, gens):
 def tensor(a, b):
     """Graded tensor product with its two canonical inclusions.
 
-    Generators are the disjoint union (a's block first); the sign rule
-    (x ⊗ y)(x' ⊗ y') = (-1)^{p(y)p(x')} xx' ⊗ yy' falls out of the odd-index
-    merge sign because a-indices stay below b-indices.
+    Generators are the disjoint union, a's block first, so a's odd indices
+    stay below b's: a joint monomial is m_a * m_b with sign +1 and reduces
+    to NF_a(m_a) * NF_b(m_b), and the sign rule (x ⊗ y)(x' ⊗ y') =
+    (-1)^{p(y)p(x')} xx' ⊗ yy' falls out of the merge sign.  One row
+    m - NF(m) per m outside basis_a x basis_b spans the ideal, each already
+    reduced with pivot m because degree-lex order is multiplicative.
     """
     if a.field is not b.field:
         raise AlgebraError("tensor factors must share a scalar field")
-    field = a.field
-    k, l, s = a.k + b.k, a.l + b.l, a.s + b.s - 1
-    ambient = make_truncated(k, l, s, field)
-
-    def embed_a(m):
-        return Monomial(m.nu + (0,) * b.k, m.odd)
-
-    def embed_b(m):
-        return Monomial((0,) * a.k + m.nu, m.odd << a.l)
-
-    gens = []
-    for src, embed in ((a, embed_a), (b, embed_b)):
-        for row in src.ideal_rows:
-            gens.append(ambient.element({embed(src.ambient_basis[i]): c for i, c in row}))
-        for m in _monomials_of_degree(src.k, src.l, src.s):
-            if m.degree() < s:  # else structurally zero in the joint ambient
-                gens.append(ambient.element({embed(m): field.one}))
-    prod, _ = quotient(ambient, gens)
+    # built first, so that the ambient cap is checked before any enumeration
+    joint = make_truncated(a.k + b.k, a.l + b.l, a.s + b.s - 1, a.field)
+    index, low = joint._ambient_index, (1 << a.l) - 1
+    rows = []
+    for col, m in enumerate(joint.ambient_basis):
+        m_a, m_b = Monomial(m.nu[:a.k], m.odd & low), Monomial(m.nu[a.k:], m.odd >> a.l)
+        if m_a in a.basis_index and m_b in b.basis_index:
+            continue
+        row = {col: a.field.one}
+        for x, c in a._normal_form(m_a).items():
+            for y, d in b._normal_form(m_b).items():
+                row[index[Monomial(x.nu + y.nu, x.odd | y.odd << a.l)]] = -(c * d)
+        rows.append(row)
+    prod = SuperWeilAlgebra(a.field, joint.k, joint.l, joint.s, rows)
     return prod, _generator_map(a, prod), _generator_map(b, prod, a.k, a.l)
 
 
@@ -772,13 +782,14 @@ def make_morphism(source, target, even_images, odd_images):
             raise AlgebraError(
                 f"images violate the truncation relation {source.monomial_name(m)} = 0"
             )
-    for row in source.ideal_rows:
+    for row, pivot in zip(source.ideal_rows, source.pivot_cols):
         terms = [(c, source.ambient_basis[i]) for i, c in row]
         acc = target.zero()
         for c, m in terms:
             acc = acc + rho.monomial_image(m).scale(c)
         if violated(acc, terms):
-            raise AlgebraError("images are incompatible with a source relation")
+            name = source.monomial_name(source.ambient_basis[pivot])
+            raise AlgebraError(f"images are incompatible with a source relation: the row with pivot {name}")
     return rho
 
 

@@ -35,11 +35,13 @@ from superweil.algebra import (
     SuperWeilAlgebra,
     _ambient,
     _ambient_monomials,
+    _monomials_of_degree,
     mul_monomials,
 )
 from superweil.battery import constructor_families
 from superweil.cli import parse_algebra_spec
 from superweil.linalg import rref_desc
+from superweil.serialize import algebra_from_json
 
 def names(algebra):
     return [algebra.monomial_name(m) for m in algebra.quotient_basis]
@@ -116,6 +118,19 @@ class TestAmbientCache:
         with pytest.raises(AlgebraError, match="ambient cap"):
             make_truncated(4, 0, 40)
         assert _ambient.cache_info() == before
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_grassmann(100_000_000),
+        lambda: make_truncated(0, 1_000_000, 1_000_001),
+        lambda: make_truncated(3_000_000, 0, 3_000_000),
+        lambda: make_truncated(100_000, 0, 100_000),
+        lambda: algebra_from_json({"field": "rational", "k": 100_000, "l": 0, "s": 100_000, "ideal": []}),
+    ], ids=["grassmann", "odd", "even", "long-count", "json"])
+    def test_huge_shapes_are_refused_at_once(self, build):
+        # their exact binomials took longer than 30 s, and the count of the
+        # fourth had too many digits to format into the message
+        with pytest.raises(AlgebraError, match="ambient cap"):
+            build()
 
     def test_racing_threads_build_equal_bases(self):
         shapes = [(1, 1, 5), (2, 0, 6), (0, 3, 4), (3, 1, 3)]
@@ -461,6 +476,14 @@ class TestMorphisms:
         cubic = make_truncated(1, 0, 4)
         with pytest.raises(AlgebraError):
             make_morphism(dual, cubic, [cubic.gen_even(1)], [])
+
+    @pytest.mark.parametrize("field", [RATIONAL, REAL], ids=lambda f: f.name)
+    def test_ideal_relation_violation_names_its_pivot(self, field):
+        a = make_truncated(2, 0, 3, field)
+        t1, t2 = a.gen_even(1), a.gen_even(2)
+        q, _ = quotient(a, [t1 * t2 - t1 ** 2])
+        with pytest.raises(AlgebraError, match="source relation: the row with pivot t1\\^2$"):
+            make_morphism(q, a, [t1, t2], [])
 
     def test_nonzero_body_rejected(self):
         dual = make_dual_numbers()
@@ -866,6 +889,91 @@ def test_quotient_multiplies_by_no_monomial_past_the_truncation():
     assert all(m.degree() < 3 for m in row)
 
 
+# -- tensor products against the quotient by both factors' relations ------------
+
+
+def _non_graded_quotient(field):
+    a = make_truncated(2, 1, 8, field)
+    t1, t2 = a.gen_even(1), a.gen_even(2)
+    g = t2 ** 2 * _c(field, "-4/3") - t1 * t2 * _c(field, "7/9") - t2 ** 3 * _c(field, "3/5")
+    return quotient(a, [g])[0]
+
+
+def tensor_by_generators(a, b):
+    """The tensor product as the quotient of the joint ambient by both
+    factors' ideal rows and truncation monomials, embedded with a's
+    generators first: the reference for ``tensor``."""
+    k, l, s = a.k + b.k, a.l + b.l, a.s + b.s - 1
+    ambient = make_truncated(k, l, s, a.field)
+    gens = []
+    for src, before, odd_shift in ((a, 0, 0), (b, a.k, a.l)):
+        def embed(m):
+            return Monomial((0,) * before + m.nu + (0,) * (k - before - src.k), m.odd << odd_shift)
+
+        for row in src.ideal_rows:
+            gens.append(ambient.element({embed(src.ambient_basis[i]): c for i, c in row}))
+        for m in _monomials_of_degree(src.k, src.l, src.s):
+            if m.degree() < s:  # else structurally zero in the joint ambient
+                gens.append(ambient.element({embed(m): a.field.one}))
+    return quotient(ambient, gens)[0]
+
+
+_families = functools.cache(constructor_families)
+
+
+def _family(name, field):
+    return _families(field)[name]
+
+
+TENSOR_FACTORS = {
+    **{name: functools.partial(_family, name) for name in _families(RATIONAL)},
+    "grassmann-2": functools.partial(make_grassmann, 2),
+    "scalars": functools.partial(make_truncated, 0, 0, 1),
+}
+
+
+def _nested_factor(field):
+    # a tensor of a non-graded quotient, small enough for the reference
+    cli_quotient = parse_algebra_spec("quot:trunc:2,2,4;t1^2-t2*z1*z2;t1*t2", field)
+    return tensor(cli_quotient, make_dual_numbers(field))[0]
+
+
+TENSOR_PAIRS = {
+    **{f"{x}*{y}": (TENSOR_FACTORS[x], TENSOR_FACTORS[y]) for x in TENSOR_FACTORS for y in TENSOR_FACTORS},
+    "non-graded*trunc": (_non_graded_quotient, functools.partial(make_truncated, 1, 0, 3)),
+    "trunc*non-graded": (functools.partial(make_truncated, 1, 0, 3), _non_graded_quotient),
+    "nested": (_nested_factor, TENSOR_FACTORS["grassmann-2"]),
+}
+
+
+def _tensor_pair(name, field):
+    return tuple(make(field) for make in TENSOR_PAIRS[name])
+
+
+def _tensor_of_pair(name, field):
+    return tensor(*_tensor_pair(name, field))[0]
+
+
+@pytest.mark.parametrize("pair", list(TENSOR_PAIRS))
+def test_tensor_matches_the_generator_construction(pair):
+    a, b = _tensor_pair(pair, RATIONAL)
+    assert tensor(a, b)[0].signature() == tensor_by_generators(a, b).signature()
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+def test_tensor_runs_no_elimination(field, rref_calls):
+    # the one non-empty reduction gets one row per joint monomial outside
+    # basis_a x basis_b, already reduced, and hands it back as it came
+    for pair in TENSOR_PAIRS:
+        a, b = _tensor_pair(pair, field)
+        rref_calls.clear()
+        t = tensor(a, b)[0]
+        want = [dict(r) for r in t.ideal_rows]
+        assert len(want) == len(t.ambient_basis) - a.dim * b.dim, pair
+        got = [sorted(rows, key=max, reverse=True) for rows in rref_calls if rows]
+        assert got == ([want] if want else []), pair
+
+
 # -- every field builds the algebra that RATIONAL builds ----------------------------
 
 
@@ -881,10 +989,7 @@ def _real_join(field):
 
 def _real_tensor(field):
     # RATIONAL: dim 84; residue once left REAL at dim 58 with empty ideal rows
-    a = make_truncated(2, 1, 8, field)
-    t1, t2 = a.gen_even(1), a.gen_even(2)
-    g = t2 ** 2 * _c(field, "-4/3") - t1 * t2 * _c(field, "7/9") - t2 ** 3 * _c(field, "3/5")
-    return tensor(quotient(a, [g])[0], make_truncated(1, 0, 3, field))[0]
+    return tensor(_non_graded_quotient(field), make_truncated(1, 0, 3, field))[0]
 
 
 def _seeded_member(seed, field):
@@ -917,14 +1022,22 @@ CROSS_FIELD = {
     "real-join": _real_join,
     "ill-conditioned-quotient": lambda field: _ill_conditioned_quotient(field)[1],
     "real-tensor": _real_tensor,
+    # at dim 168 on RATIONAL; eliminating the generators left REAL at dim 156
+    "nested-real-tensor": lambda field: tensor(_real_tensor(field), make_grassmann(1, field))[0],
     **{f"seed-{seed}": functools.partial(_seeded_member, seed) for seed in range(48)},
+    **{f"tensor-{pair}": functools.partial(_tensor_of_pair, pair) for pair in TENSOR_PAIRS},
 }
 
 
 @pytest.mark.parametrize("member", list(CROSS_FIELD))
 def test_every_field_agrees_with_rational(member):
+    # float coefficients stay within 1e-12 relative of the exact ones
     want = CROSS_FIELD[member](RATIONAL)
     for field in (REAL, COMPLEX):
         got = CROSS_FIELD[member](field)
         assert got.pivot_cols == want.pivot_cols, field
         assert (got.dim, got._power_dims) == (want.dim, want._power_dims), field
+        for row, exact in zip(got.ideal_rows, want.ideal_rows):
+            assert [i for i, _ in row] == [i for i, _ in exact], field
+            for (_, c), (_, e) in zip(row, exact):
+                assert abs(c - float(e)) <= 1e-12 * abs(float(e)), field

@@ -274,6 +274,13 @@ class TestMalformedInput:
                 "--section", "x1"]
         self.fails_cleanly(args, capsys)
 
+    @pytest.mark.parametrize("spec", [
+        "grassmann:100000000", "trunc:0,1000000,1000001", "trunc:3000000,0,3000000",
+        "trunc:100000,0,100000",
+    ])
+    def test_huge_ambient_shape(self, spec, capsys):
+        self.fails_cleanly(["algebra", "--spec", spec], capsys)
+
     def test_dist_coefficient_without_a(self, capsys):
         args = ["dist", "--base", "0", "--order", "1", "--coeffs", '[{"nu": [1]}]',
                 "--section", "x1"]
