@@ -162,7 +162,7 @@ class SuperWeilAlgebra:
 
     def __init__(self, field, k, l, s, ideal_rows):
         if s < 1:
-            raise AlgebraError(f"invalid truncation order s={s}; need s >= 1")
+            raise AlgebraError("invalid truncation order: need s >= 1")
         if k < 0 or l < 0:
             raise AlgebraError("generator counts must be non-negative")
         self.field = field

@@ -22,6 +22,7 @@ from math import factorial
 from . import expr as ex
 from .algebra import EVEN, ODD, ZERO, AlgebraMorphism, SuperWeilAlgebra, as_element
 from .errors import AlgebraError, ParityError, RegionError
+from .fields import analytic_derivative
 from .superfunc import (
     Section,
     SuperDomain,
@@ -93,13 +94,13 @@ def analytic_lift(fn, a):
         raise ParityError(f"{fn} needs an even algebra element")
     body = a.body()
     soul = a.soul()
-    out = algebra.scalar(field.nth_derivative(fn, 0, body))
+    out = algebra.scalar(analytic_derivative(fn, 0, body, field.function_value))
     power = algebra.one()
     for n in range(1, algebra.s):
         power = power * soul
         if power.is_zero():
             break
-        coef = field.nth_derivative(fn, n, body) / field.coerce(factorial(n))
+        coef = analytic_derivative(fn, n, body, field.function_value) / field.coerce(factorial(n))
         out = out + power.scale(coef)
     return out
 

@@ -46,6 +46,7 @@ from .serialize import (
     _typed_list,
     algebra_to_json,
     coeff_map_to_json,
+    read_json,
     series_from_json,
 )
 from .superfunc import SuperDomain, section
@@ -240,7 +241,8 @@ def cmd_dist(args):
     field = field_by_name(args.field)
     base = parse_scalar_tuple(args.base, field)
     coeffs = {}
-    for entry in _typed_list({"--coeffs": json.loads(args.coeffs)}, "--coeffs", dict, "dist"):
+    entries = {"--coeffs": read_json(args.coeffs, "--coeffs")}
+    for entry in _typed_list(entries, "--coeffs", dict, "dist"):
         nu = tuple(_typed_list(entry, "nu", int, "--coeffs entry"))
         js = tuple(_typed_list(entry, "J", int, "--coeffs entry")) if "J" in entry else ()
         coeffs[(nu, js)] = field.parse(str(_lookup(entry, "a", "--coeffs entry")))
@@ -254,7 +256,7 @@ def cmd_dist(args):
 
 def cmd_check_nat(args):
     with open(args.series, encoding="utf-8") as fh:
-        series = series_from_json(json.load(fh))
+        series = series_from_json(read_json(fh.read(), args.series))
     field = field_by_name(args.field)
     points = [
         parse_scalar_tuple(chunk, field)
@@ -388,7 +390,7 @@ def main(argv=None):
         args.seed = int(os.environ.get("SUPERWEIL_SEED", "0"))
     try:
         return args.func(args)
-    except (SuperWeilError, OSError, json.JSONDecodeError) as exc:
+    except (SuperWeilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:

@@ -317,10 +317,6 @@ def int_pow(a, n):
     return IntPow(a, n)
 
 
-def reciprocal(a):
-    return Apply("reciprocal", a)
-
-
 # -- the one traversal ---------------------------------------------------------
 
 

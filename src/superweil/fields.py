@@ -69,8 +69,13 @@ class Field:
         return True
 
     def function_value(self, fn, x):
-        """Value of a transcendental primitive at a field scalar; overflow and
+        """Value of an analytic primitive at a field scalar.  Reciprocals work
+        on every field; the transcendentals need an inexact one.  Overflow and
         arguments outside the function's domain are evaluation errors."""
+        if fn == "reciprocal":
+            if self.is_zero(x):
+                raise EvaluationError("reciprocal evaluated at zero")
+            return 1 / x
         if self.primitives is None:
             raise EvaluationError(f"{fn} requires an inexact scalar field, not {self.name}")
         try:
@@ -78,30 +83,27 @@ class Field:
         except (OverflowError, ValueError) as exc:
             raise EvaluationError(f"{fn} of body {x!r}: {exc}") from None
 
-    def nth_derivative(self, fn, n, x):
-        """n-th derivative of an analytic primitive at x.
 
-        Closed forms only; reciprocal is rational so it works on every field.
-        """
-        if fn == "reciprocal":
-            if self.is_zero(x):
-                raise EvaluationError("reciprocal evaluated at zero body")
-            return self.coerce((-1) ** n * factorial(n)) * x ** (-(n + 1))
-        if fn == "exp":
-            return self.function_value("exp", x)
-        if fn == "log":
-            if n == 0:
-                return self.function_value("log", x)
-            return self.coerce((-1) ** (n - 1) * factorial(n - 1)) * x ** (-n)
-        if fn == "sin":
-            k = n % 4
-            v = self.function_value("sin" if k % 2 == 0 else "cos", x)
-            return -v if k in (2, 3) else v
-        if fn == "cos":
-            k = n % 4
-            v = self.function_value("cos" if k % 2 == 0 else "sin", x)
-            return -v if k in (1, 2) else v
+def analytic_derivative(fn, n, x, value):
+    """n-th derivative (n >= 0) of an analytic primitive at x, in closed form.
+
+    ``value(f, x)`` is the primitive f at x.  Besides it the formulas use only
+    unary minus and an int times an int power, so ``x`` may be a field scalar
+    (``value=field.function_value``) or an expression (``value=expr.Apply``).
+    """
+    if fn not in ANALYTIC_FUNCTIONS:
         raise EvaluationError(f"unknown analytic function {fn!r}")
+    if n == 0 or fn == "exp":
+        return value(fn, x)
+    if fn in ("sin", "cos"):
+        # sin^(k) is sin, cos, -sin, -cos for k % 4 = 0..3, and cos^(n) = sin^(n+1)
+        k = (n + 1 if fn == "cos" else n) % 4
+        v = value("sin" if k % 2 == 0 else "cos", x)
+        return -v if k >= 2 else v
+    r = value("reciprocal", x)
+    if fn == "log":
+        return (-1) ** (n - 1) * factorial(n - 1) * r**n
+    return (-1) ** n * factorial(n) * r ** (n + 1)
 
 
 class RationalField(Field):

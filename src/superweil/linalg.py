@@ -62,6 +62,7 @@ def rref_desc(rows, field):
         used[best] = True
         scale = work[best][col]
         piv = work[best] = {j: c / scale for j, c in work[best].items()}
+        piv[col] = field.one  # z / z may round on COMPLEX, or come out 1-0j
         if not exact:
             scale_norm = norm(scale)
             piv_bound = bounds[best] = {j: b / scale_norm for j, b in bounds[best].items()}

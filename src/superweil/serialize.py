@@ -455,7 +455,17 @@ class Workspace:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            return cls.from_json(read_json(fh.read(), path))
+
+
+def read_json(text, source):
+    """Decoded JSON ``text``.  Malformed JSON, and an integer too long for
+    Python to convert (str-to-int is capped at 4,300 digits), is a ParseError
+    naming ``source``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"{source}: {exc}") from None
 
 
 _WS_SLOTS = ("algebras", "domains", "sections", "points", "morphisms", "series")

@@ -15,8 +15,8 @@ from math import factorial
 
 from . import expr as ex
 from .algebra import merge_sign
-from .errors import EvaluationError, ParityError, RegionError
-from .fields import Field, infer_field
+from .errors import ParityError, RegionError
+from .fields import Field, analytic_derivative, infer_field
 
 
 @dataclass(frozen=True)
@@ -136,43 +136,11 @@ def _derive_even(n, i, memo):
     elif isinstance(n, ex.IntPow):
         d = ex.scalar_mul(n.n, ex.mul(ex.int_pow(n.a, n.n - 1), _derive_even(n.a, i, memo)))
     elif isinstance(n, ex.Apply):
-        d = ex.mul(_analytic_derivative_expr(n), _derive_even(n.a, i, memo))
+        d = ex.mul(analytic_derivative(n.fn, 1, n.a, ex.Apply), _derive_even(n.a, i, memo))
     else:
         raise ex.unknown_node(n)
     memo[key] = (n, d)
     return d
-
-
-def _analytic_derivative_expr(node):
-    fn, a = node.fn, node.a
-    if fn == "exp":
-        return node
-    if fn == "log":
-        return ex.reciprocal(a)
-    if fn == "sin":
-        return ex.Apply("cos", a)
-    if fn == "cos":
-        return ex.neg(ex.Apply("sin", a))
-    if fn == "reciprocal":
-        return ex.neg(ex.mul(ex.reciprocal(a), ex.reciprocal(a)))
-    raise EvaluationError(f"unknown analytic function {fn!r}")
-
-
-def _analytic_nth_derivative_expr(fn, n, a):
-    """Closed-form n-th derivative (n >= 1) of an analytic node, as an expression."""
-    if fn == "exp":
-        return ex.Apply("exp", a)
-    if fn == "log":
-        sign = Fraction((-1) ** (n - 1) * factorial(n - 1))
-        return ex.scalar_mul(sign, ex.int_pow(ex.reciprocal(a), n))
-    if fn == "reciprocal":
-        sign = Fraction((-1) ** n * factorial(n))
-        return ex.scalar_mul(sign, ex.int_pow(ex.reciprocal(a), n + 1))
-    if fn in ("sin", "cos"):
-        k = (n + (0 if fn == "sin" else 1)) % 4
-        base = ex.Apply("sin" if k % 2 == 0 else "cos", a)
-        return ex.neg(base) if k in (2, 3) else base
-    raise EvaluationError(f"unknown analytic function {fn!r}")
 
 
 def derive_expr_odd(e, j):
@@ -307,7 +275,7 @@ def _components(e):
             if not power:
                 return out
             inv_fact /= k
-            deriv = _analytic_nth_derivative_expr(n.fn, k, base)
+            deriv = analytic_derivative(n.fn, k, base, ex.Apply)
             for mask, coef in power.items():
                 term = ex.scalar_mul(inv_fact, ex.mul(deriv, coef))
                 out[mask] = ex.add(out[mask], term) if mask in out else term
@@ -392,10 +360,6 @@ def eval_expr_classical(e, point, scalar_field, memo=None):
         if isinstance(n, ex.IntPow):
             return v[0] ** n.n
         if isinstance(n, ex.Apply):
-            if n.fn == "reciprocal":
-                if scalar_field.is_zero(v[0]):
-                    raise EvaluationError("reciprocal evaluated at zero")
-                return 1 / v[0]
             return scalar_field.function_value(n.fn, v[0])
         raise ex.unknown_node(n)
 

@@ -64,8 +64,10 @@ class TestConstructors:
         assert set(names(a)) == {"1", "t1", "z1"}
 
     def test_truncated_bad_order(self):
-        with pytest.raises(AlgebraError):
-            make_truncated(1, 0, 0)
+        # an int past 4,300 digits has no decimal text, so the message gives none
+        for s in (0, -(10**5000)):
+            with pytest.raises(AlgebraError, match="invalid truncation order"):
+                make_truncated(1, 0, s)
 
     def test_grassmann_trivial(self):
         a = make_grassmann(0)
@@ -1041,3 +1043,7 @@ def test_every_field_agrees_with_rational(member):
             assert [i for i, _ in row] == [i for i, _ in exact], field
             for (_, c), (_, e) in zip(row, exact):
                 assert abs(c - float(e)) <= 1e-12 * abs(float(e)), field
+        # each pivot is stored as exactly one, with no -0.0 imaginary part
+        for row, col in zip(got.ideal_rows, got.pivot_cols):
+            pivot = complex(dict(row)[col])
+            assert pivot == 1 and math.copysign(1.0, pivot.imag) == 1.0, field

@@ -186,6 +186,51 @@ def test_eval_taylor_does_not_route_through_eval_ast(monkeypatch):
         eval_ast(x, s)
 
 
+def taylor_coefficient(fn, n, b):
+    """f^(n)(b) / n! from the textbook series of each analytic function."""
+    if fn == "exp":
+        return math.exp(b) / math.factorial(n)
+    if fn == "log":
+        return math.log(b) if n == 0 else (-1) ** (n + 1) / (n * b**n)
+    if fn == "inv":
+        return (-1) ** n / b ** (n + 1)
+    # sin' = cos, cos' = -sin: the derivatives turn through a quarter each time
+    turn = (math.sin, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
+    return turn[(n + (fn == "cos")) % 4](b) / math.factorial(n)
+
+
+@pytest.mark.parametrize("shift", ["", " + theta1*theta2"], ids=["even", "odd-pair"])
+@pytest.mark.parametrize("fn", ["exp", "log", "sin", "cos", "inv"])
+def test_analytic_functions_match_their_textbook_series(fn, shift):
+    # fn(x1 + shift) at x1 = b + t1, th1 = z1, th2 = z2: the coefficient of
+    # t1^n is f^(n)(b)/n!, and with the odd pair that of t1^n z1z2 is
+    # f^(n+1)(b)/n!; the truncation keeps degrees below 10
+    b = 0.7
+    a = make_truncated(1, 2, 10, REAL)
+    x = make_apoint(U12, a, [a.scalar(b) + a.gen_even(1)], [a.gen_odd(1), a.gen_odd(2)])
+    s = section(U12, f"{fn}(x1{shift})")
+    want = {((n,), 0): taylor_coefficient(fn, n, b) for n in range(10)}
+    if shift:
+        want.update({((n,), 0b11): (n + 1) * taylor_coefficient(fn, n + 1, b) for n in range(8)})
+    for got in (eval_ast(x, s), eval_taylor(x, s)):
+        assert set(got.coeffs) == set(want)
+        for m, c in got.coeffs.items():
+            assert abs(c - want[m]) <= 1e-13 * abs(want[m]), (m, c, want[m])
+
+
+@pytest.mark.parametrize("shift", ["", " + theta1*theta2"], ids=["even", "odd-pair"])
+def test_reciprocal_series_exact_on_rationals(shift):
+    b = F(7, 10)
+    a = make_truncated(1, 2, 10)
+    x = make_apoint(U12, a, [a.scalar(b) + a.gen_even(1)], [a.gen_odd(1), a.gen_odd(2)])
+    s = section(U12, f"inv(x1{shift})")
+    want = {((n,), 0): (-1) ** n / b ** (n + 1) for n in range(10)}
+    if shift:
+        want.update({((n,), 0b11): (n + 1) * (-1) ** (n + 1) / b ** (n + 2) for n in range(8)})
+    assert eval_ast(x, s).coeffs == want
+    assert eval_taylor(x, s).coeffs == want
+
+
 class TestPushforward:
     def test_projection_gives_base_point(self):
         a = cubic_jet_algebra()

@@ -241,12 +241,12 @@ class TestMalformedInput:
     """Malformed input ends in exit 1 and a one-line diagnostic, no traceback."""
 
     @staticmethod
-    def fails_cleanly(args, capsys):
+    def fails_cleanly(args, capsys, prefix="error:"):
         from superweil import cli
 
         assert cli.main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
 
     def test_deep_parentheses_in_section(self, capsys):
         deep = "(" * 300 + "x1" + ")" * 300
@@ -313,6 +313,37 @@ class TestMalformedInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --tol: not a" in err and "Traceback" not in err
+
+    # JSON that does not decode: malformed, or an int past the 4,300 digits
+    # Python converts from text
+    HUGE = "9" * 5001
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": 1, "algebras": {"a": {"field": "rational", "k": 1, "l": 0, "s": %s, '
+        '"ideal": []}}}' % HUGE,
+        '{"schema": 1, "algebras"',
+    ], ids=["huge-int", "truncated"])
+    def test_workspace_json_that_does_not_decode(self, text, tmp_path, capsys):
+        path = tmp_path / "ws.json"
+        path.write_text(text)
+        args = ["eval", "--workspace", str(path), "--algebra", "@a", "--point", "x1=1",
+                "--section", "x1"]
+        self.fails_cleanly(args, capsys, f"error: {path}: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"source": [1, 0], "target": [1, 0], "order": %s}' % HUGE[:5000], '{"source": [1,',
+    ], ids=["huge-int", "truncated"])
+    def test_series_json_that_does_not_decode(self, text, tmp_path, capsys):
+        path = tmp_path / "series.json"
+        path.write_text(text)
+        args = ["check-nat", "--series", str(path), "--points", "1"]
+        self.fails_cleanly(args, capsys, f"error: {path}: ")
+
+    @pytest.mark.parametrize("coeffs", ['[{"nu": [1], "a": %s}]' % HUGE, "[{"],
+                             ids=["huge-int", "truncated"])
+    def test_dist_coefficients_that_do_not_decode(self, coeffs, capsys):
+        args = ["dist", "--base", "1", "--order", "2", "--section", "x1", "--coeffs", coeffs]
+        self.fails_cleanly(args, capsys, "error: --coeffs: ")
 
     def test_series_without_slots(self, tmp_path, capsys):
         path = tmp_path / "series.json"

@@ -1,5 +1,6 @@
 """Sparse row reduction and row-space intersection."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -150,6 +151,7 @@ def scan_rref_desc(rows, field):
         used[best] = True
         scale = work[best][col]
         piv = work[best] = {j: c / scale for j, c in work[best].items()}
+        piv[col] = field.one
         piv_bound = bounds[best] = {j: b / field.norm(scale) for j, b in bounds[best].items()}
         for i, row in enumerate(work):
             factor = row.get(col)
@@ -228,4 +230,6 @@ def test_every_row_holds_its_unit_pivot(field, rows):
     reduced, pivots = rref_desc(_on(field, rows), field)
     for row, col in zip(reduced, pivots):
         assert max(row) == col
-        assert field.norm(row[col] - 1) <= 1e-15, (row, col)
+        # exactly one: z / z can round on COMPLEX, and come out 1-0j
+        pivot = complex(row[col])
+        assert pivot == 1 and math.copysign(1.0, pivot.imag) == 1.0, (row, col)
