@@ -23,7 +23,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import AlgebraError, ParityError
-from .fields import RATIONAL, Field
+from .fields import RATIONAL, Field, check_power
 from .linalg import intersect_row_spaces, rref_desc
 
 MAX_AMBIENT_DIM = 10_000
@@ -173,6 +173,10 @@ class SuperWeilAlgebra:
         if ambient is None or ambient > MAX_AMBIENT_DIM:
             size = f"above {_COUNT_LIMIT}" if ambient is None else ambient
             raise AlgebraError(f"ambient dimension {size} exceeds the ambient cap {MAX_AMBIENT_DIM}")
+        if k + l > MAX_AMBIENT_DIM:
+            # at s = 1 the ambient has dimension 1 whatever k and l are, but
+            # the enumeration still walks every generator
+            raise AlgebraError(f"more generators than the ambient cap {MAX_AMBIENT_DIM}")
         self.ambient_basis, self._ambient_index = _ambient(k, l, s)
         ideal_rows, pivots = rref_desc(ideal_rows, field)
         self.ideal_rows = tuple(tuple(sorted(r.items())) for r in ideal_rows)
@@ -462,6 +466,7 @@ class AlgebraElement:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("element powers need a non-negative integer exponent")
+        check_power(self.body(), n)
         result = self.algebra.one()
         base = self
         while n:

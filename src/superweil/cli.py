@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -38,7 +37,7 @@ from .calculus import (
     tangent_eval,
 )
 from .errors import ParseError, SuperWeilError
-from .fields import RATIONAL, field_by_name
+from .fields import RATIONAL, field_by_name, read_int, read_rational
 from .nattrans import check_comes_from_morphism
 from .serialize import (
     Workspace,
@@ -79,12 +78,12 @@ def _consume_spec(spec, field, workspace):
         m = re.match(r"grassmann:(\d+)", spec)
         if not m:
             raise ParseError("grassmann spec needs grassmann:q")
-        return make_grassmann(int(m.group(1)), field), spec[m.end() :]
+        return make_grassmann(read_int(m.group(1), "grassmann q", 0), field), spec[m.end() :]
     if spec.startswith("trunc:"):
         m = re.match(r"trunc:(\d+),(\d+),(\d+)", spec)
         if not m:
             raise ParseError("trunc spec needs trunc:k,l,s")
-        k, l, s = (int(v) for v in m.groups())
+        k, l, s = (read_int(v, f"trunc {name}", 0) for v, name in zip(m.groups(), "kls"))
         return make_truncated(k, l, s, field), spec[m.end() :]
     if spec.startswith("quot:"):
         ambient, rest = _consume_spec(spec[len("quot:") :], field, workspace)
@@ -134,8 +133,10 @@ class _ElementSemantics:
         m = re.fullmatch(r"([tz])(\d+)", text)
         if not m:
             raise ParseError(f"unknown element name {text!r}")
-        idx = int(m.group(2))
-        return self.algebra.gen_even(idx) if m.group(1) == "t" else self.algebra.gen_odd(idx)
+        a = self.algebra
+        even = m.group(1) == "t"
+        idx = read_int(m.group(2), f"generator {m.group(1)}", 1, a.k if even else a.l)
+        return a.gen_even(idx) if even else a.gen_odd(idx)
 
 
 def parse_element(text, algebra):
@@ -148,17 +149,21 @@ _ASSIGN = re.compile(r"\s*(x|th)(\d+)\s*=\s*")
 
 def parse_point_spec(text, algebra):
     """Assignments "x1=..., th1=..." with element expressions on the right."""
-    even = {}
-    odd = {}
+    assignments = []
     rest = text
     while rest:
         m = _ASSIGN.match(rest)
         if not m:
             raise ParseError(f"bad point assignment near {rest[:16]!r}")
         value, rest = _consume_until(rest[m.end() :], ",")
-        slots = even if m.group(1) == "x" else odd
-        slots[int(m.group(2))] = parse_element(value, algebra)
+        assignments.append((m.group(1), m.group(2), value))
         rest = rest[1:]
+    even = {}
+    odd = {}
+    for kind, idx, value in assignments:
+        # the indices cover 1..p and 1..q, so none passes the count
+        slot = read_int(idx, f"point index of {kind}", 1, len(assignments))
+        (even if kind == "x" else odd)[slot] = parse_element(value, algebra)
     p = max(even, default=0)
     q = max(odd, default=0)
     if sorted(even) != list(range(1, p + 1)) or sorted(odd) != list(range(1, q + 1)):
@@ -300,10 +305,25 @@ def cmd_selftest(args):
 
 def finite_float(text):
     """argparse type of a float option: NaN and infinities are usage errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+    try:
+        return float(read_rational(text))
+    except (ParseError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+
+
+def signed_int(text, what="the value"):
+    """An integer option or variable: an optional sign, then ASCII digits."""
+    text = text.strip()
+    value = read_int(text[1:] if text.startswith(("+", "-")) else text, what, 0)
+    return -value if text.startswith("-") else value
+
+
+def integer(text):
+    """argparse type of an integer option."""
+    try:
+        return signed_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def tolerance(text):
@@ -348,10 +368,10 @@ def build_parser():
 
     p = sub.add_parser("dist", help="pair a point-supported distribution with a section")
     p.add_argument("--base", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=integer, required=True)
     p.add_argument("--coeffs", required=True, help='JSON [{"nu": [...], "J": [...], "a": ...}]')
     p.add_argument("--section", required=True)
-    p.add_argument("--odd-dim", type=int, default=0, dest="odd_dim")
+    p.add_argument("--odd-dim", type=integer, default=0, dest="odd_dim")
     common(p, workspace=False)
     p.set_defaults(func=cmd_dist)
 
@@ -371,9 +391,9 @@ def build_parser():
     p.set_defaults(func=cmd_check_trans)
 
     p = sub.add_parser("selftest", help="run the randomized property battery")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=integer, default=None)
     p.add_argument("--scale", type=finite_float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=integer, default=1)
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -386,9 +406,9 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "selftest":
-        args.seed = int(os.environ.get("SUPERWEIL_SEED", "0"))
     try:
+        if getattr(args, "seed", None) is None and args.command == "selftest":
+            args.seed = signed_int(os.environ.get("SUPERWEIL_SEED", "0"), "SUPERWEIL_SEED")
         return args.func(args)
     except (SuperWeilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

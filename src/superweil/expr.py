@@ -16,7 +16,7 @@ from functools import partial
 
 from .algebra import merge_sign
 from .errors import ParityError, ParseError
-from .fields import ANALYTIC_FUNCTIONS
+from .fields import ANALYTIC_FUNCTIONS, RATIONAL, REAL, read_int, scalar_pow
 
 EVEN, ODD, MIXED = "even", "odd", "mixed"
 
@@ -313,7 +313,7 @@ def int_pow(a, n):
     if n == 1:
         return a
     if isinstance(a, Const):
-        return Const(a.value**n)
+        return Const(scalar_pow(a.value, n))
     return IntPow(a, n)
 
 
@@ -584,9 +584,9 @@ class _Parser:
         e = self.atom()
         if self.accept("^"):
             kind, val = self.take()
-            if kind != "num" or not val.isdigit():
+            if kind != "num":
                 raise ParseError(f"exponent must be a non-negative integer, got {val!r}")
-            e = e ** int(val)
+            e = e ** read_int(val, "exponent", 0)
         return e
 
     def atom(self):
@@ -626,19 +626,15 @@ class _ExprSemantics:
     def number(self, text):
         # decimal and scientific literals stay floats so text round-trips
         # exactly; integers and num/den literals are exact rationals
-        if "." in text or "e" in text or "E" in text:
-            return Const(float(text))
-        return Const(Fraction(text))
+        field = REAL if "." in text or "e" in text or "E" in text else RATIONAL
+        return Const(field.parse(text))
 
     def name(self, text):
         m = re.fullmatch(r"(x|theta)(\d+)", text)
         if not m:
             raise ParseError(f"unknown name {text!r}")
         even = m.group(1) == "x"
-        idx = int(m.group(2))
-        bound = self.p if even else self.q
-        if bound is not None and not 1 <= idx <= bound:
-            raise ParseError(f"coordinate {text} out of range 1..{bound}")
+        idx = read_int(m.group(2), f"coordinate {m.group(1)}", 1, self.p if even else self.q)
         return EvenCoord(idx) if even else OddCoord(idx)
 
 

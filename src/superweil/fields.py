@@ -11,13 +11,99 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from math import factorial
+from numbers import Rational
 
 from .errors import EvaluationError, ParseError
 
 TRANSCENDENTAL_FUNCTIONS = ("exp", "log", "sin", "cos")
 ANALYTIC_FUNCTIONS = TRANSCENDENTAL_FUNCTIONS + ("reciprocal",)
+
+# Caps on number text, checked before int() or Fraction() reads it.  A digit
+# run holds at most the 4,300 digits Python's int() reads by default, so every
+# scalar RATIONAL.to_json writes reads back; the decimal exponent cap lies past
+# every double's (1e308, 5e-324).
+MAX_DIGITS = 4_300
+MAX_DECIMAL_EXPONENT = 1_000
+# bits an exact power may reach: about 19,700 decimal digits, over four times
+# what to_json writes, and at most a few tenths of a second to build
+MAX_POWER_BITS = 1 << 16
+
+# sign, then num/den or a decimal with an optional exponent: Fraction's
+# grammar without underscores or non-ASCII digits
+_RATIONAL = re.compile(
+    r"([-+]?)(?:(\d+)\s*/\s*(\d+)|(?=\.?\d)(\d*)\.?(\d*)(?:[eE]([-+]?\d+))?)", re.ASCII
+)
+
+
+def _shown(text):
+    """``text`` for an error message, cut short when long."""
+    return repr(text) if len(text) <= 32 else repr(text[:16]) + "..."
+
+
+def read_rational(text):
+    """The exact rational that a number literal writes.
+
+    The literal is an optional sign, then num/den or a decimal with an
+    optional exponent, in ASCII.  Each digit run is checked against
+    MAX_DIGITS and the exponent against MAX_DECIMAL_EXPONENT before
+    Fraction() reads the text; a zero denominator is a ParseError.
+    """
+    text = text.strip()
+    m = _RATIONAL.fullmatch(text)
+    if not m:
+        raise ParseError(f"bad number literal {_shown(text)}")
+    if max(len(g or "") for g in m.groups()) > MAX_DIGITS:
+        raise ParseError(f"number literal {_shown(text)} has a run of over {MAX_DIGITS} digits")
+    sign, num, den, exp = m.group(1, 2, 3, 6)
+    if exp is not None and abs(int(exp)) > MAX_DECIMAL_EXPONENT:
+        raise ParseError(
+            f"number literal {_shown(text)} has an exponent past +-{MAX_DECIMAL_EXPONENT}"
+        )
+    if den is None:
+        return Fraction(text)
+    if not den.strip("0"):
+        raise ParseError(f"number literal {_shown(text)} has a zero denominator")
+    # Python 3.12 reads spaces around the slash, 3.11 does not
+    return Fraction(int(sign + num), int(den))
+
+
+def read_int(text, what, lo, hi=None):
+    """The integer that ``text``, ASCII digits only, writes; it must lie in
+    lo..hi, and ``what`` names it in the ParseError when it does not.  With
+    ``hi`` None it may have up to MAX_DIGITS digits.  The length is compared
+    against ``hi`` before int() reads the text."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} must be ASCII digits, not {_shown(text)}")
+    digits = text.lstrip("0")
+    if len(digits) <= (MAX_DIGITS if hi is None else len(str(hi))):
+        value = int(digits or "0")
+        if lo <= value and (hi is None or value <= hi):
+            return value
+    span = f"{lo}..{hi}" if hi is not None else f"{lo} and up, of at most {MAX_DIGITS} digits"
+    raise ParseError(f"{what} {_shown(text)} is outside {span}")
+
+
+def check_power(body, n):
+    """Refuse a power with this body before any work: on an exact field, when
+    n times the bit size of the body passes MAX_POWER_BITS.  A body of 0 or
+    +-1 is cheap at every n and never refused."""
+    if isinstance(body, Rational) and n > 1 and body not in (0, 1, -1):
+        bits = body.numerator.bit_length() + body.denominator.bit_length()
+        if n * bits > MAX_POWER_BITS:
+            raise EvaluationError(f"a power of a {bits}-bit scalar passes {MAX_POWER_BITS} bits")
+
+
+def scalar_pow(x, n):
+    """``x**n`` for a scalar, bounded by :func:`check_power`; a float that
+    overflows is an EvaluationError."""
+    check_power(x, n)
+    try:
+        return x**n
+    except OverflowError as exc:
+        raise EvaluationError(f"power of {x!r}: {exc}") from None
 
 
 class Field:
@@ -124,13 +210,15 @@ class RationalField(Field):
         raise ParseError(f"cannot coerce {value!r} to a rational scalar")
 
     def parse(self, text):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {text!r}") from exc
+        return read_rational(text)
 
     def to_json(self, value):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the digits Python writes an int in
+            raise EvaluationError(
+                f"a rational result has more than {MAX_DIGITS} digits and cannot be written"
+            ) from None
 
     def from_json(self, value):
         if isinstance(value, str):
@@ -154,10 +242,12 @@ class RealField(Field):
         return float(value)
 
     def parse(self, text):
+        value = read_rational(text)
         try:
-            return float(Fraction(text.strip()))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ParseError(f"bad real literal {text!r}") from exc
+            return float(value)
+        except OverflowError:
+            shown = _shown(text.strip())
+            raise ParseError(f"number literal {shown} is too large for a float") from None
 
     def to_json(self, value):
         return value
@@ -175,15 +265,15 @@ class ComplexField(Field):
         return complex(value)
 
     def parse(self, text):
+        # complex() reads a+bj text and keeps the sign of a zero; it also
+        # reads what read_rational refuses, so that text goes to it instead
         text = text.strip()
-        try:
-            return _finite(complex(text))
-        except ValueError:
-            pass
-        try:
-            return complex(float(Fraction(text)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ParseError(f"bad complex literal {text!r}") from exc
+        if text.isascii() and "_" not in text and len(text) <= MAX_DIGITS:
+            try:
+                return _finite(complex(text))
+            except ValueError:
+                pass
+        return complex(REAL.parse(text))
 
     def to_json(self, value):
         return [value.real, value.imag]

@@ -18,7 +18,7 @@ from .algebra import AlgebraElement, Monomial, SuperWeilAlgebra, make_truncated
 from .apoints import APoint, DomainMorphism, make_apoint, make_domain_morphism
 from .calculus import Derivation, Distribution, TangentVector, make_derivation, make_distribution
 from .errors import ParseError
-from .fields import RATIONAL, field_by_name
+from .fields import RATIONAL, field_by_name, read_int
 from .nattrans import TruncatedFormalSeries
 from .superfunc import Section, SuperDomain, section
 
@@ -37,16 +37,15 @@ def parse_monomial_key(algebra, key):
         if tok.start() != pos:
             raise ParseError(f"bad monomial key {key!r}")
         pos = tok.end()
-        kind, idx, power = tok.group(1), int(tok.group(2)), tok.group(3)
+        kind, idx, power = tok.groups()
+        bound = algebra.k if kind == "t" else algebra.l
+        idx = read_int(idx, f"generator {kind} in {key[:16]!r}", 1, bound)
         if kind == "t":
-            if not 1 <= idx <= algebra.k:
-                raise ParseError(f"even generator t{idx} out of range in {key!r}")
-            nu[idx - 1] += int(power) if power else 1
+            exponent = read_int(power, f"power in {key[:16]!r}", 0, algebra.s) if power else 1
+            nu[idx - 1] += exponent
         else:
             if power:
                 raise ParseError(f"odd generators cannot carry powers: {key!r}")
-            if not 1 <= idx <= algebra.l:
-                raise ParseError(f"odd generator z{idx} out of range in {key!r}")
             bit = 1 << (idx - 1)
             if mask & bit:
                 raise ParseError(f"odd generator z{idx} repeated in {key!r}")
@@ -148,7 +147,7 @@ def _end_to_json(end):
         value = float(end)
         if value == end:
             return value
-    return str(end)
+    return RATIONAL.to_json(end)
 
 
 def domain_from_json(obj):

@@ -16,7 +16,7 @@ from math import factorial
 from . import expr as ex
 from .algebra import merge_sign
 from .errors import ParityError, RegionError
-from .fields import Field, analytic_derivative, infer_field
+from .fields import Field, analytic_derivative, infer_field, scalar_pow
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ def eval_expr_classical(e, point, scalar_field, memo=None):
         if isinstance(n, ex.ScalarMul):
             return scalar_field.coerce(n.c) * v[0]
         if isinstance(n, ex.IntPow):
-            return v[0] ** n.n
+            return scalar_pow(v[0], n.n)
         if isinstance(n, ex.Apply):
             return scalar_field.function_value(n.fn, v[0])
         raise ex.unknown_node(n)

@@ -127,7 +127,9 @@ class TestAmbientCache:
         lambda: make_truncated(3_000_000, 0, 3_000_000),
         lambda: make_truncated(100_000, 0, 100_000),
         lambda: algebra_from_json({"field": "rational", "k": 100_000, "l": 0, "s": 100_000, "ideal": []}),
-    ], ids=["grassmann", "odd", "even", "long-count", "json"])
+        lambda: make_truncated(1, 10**20, 1),
+        lambda: make_truncated(10**20, 0, 1),
+    ], ids=["grassmann", "odd", "even", "long-count", "json", "odd-at-s1", "even-at-s1"])
     def test_huge_shapes_are_refused_at_once(self, build):
         # their exact binomials took longer than 30 s, and the count of the
         # fourth had too many digits to format into the message

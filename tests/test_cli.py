@@ -1,11 +1,17 @@
 """Command-line behavior: documented examples, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "superweil.cli"]
 
@@ -237,14 +243,38 @@ class TestOneParser:
         assert capsys.readouterr().out == run(EVAL_ARGS, check=True).stdout
 
 
+class _Timeout(BaseException):
+    """Raised by the alarm of :func:`deadline`; no handler in the program catches it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test when the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except _Timeout:
+        pytest.fail(f"no result within {seconds} s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestMalformedInput:
-    """Malformed input ends in exit 1 and a one-line diagnostic, no traceback."""
+    """Malformed input ends in exit 1 and a one-line diagnostic within 2 s,
+    no traceback."""
 
     @staticmethod
     def fails_cleanly(args, capsys, prefix="error:"):
         from superweil import cli
 
-        assert cli.main(args) == 1
+        with deadline(2):
+            assert cli.main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
 
@@ -274,9 +304,12 @@ class TestMalformedInput:
                 "--section", "x1"]
         self.fails_cleanly(args, capsys)
 
+    ONES = "1" * 5001  # past the 4,300 digits int() reads from text
+
     @pytest.mark.parametrize("spec", [
         "grassmann:100000000", "trunc:0,1000000,1000001", "trunc:3000000,0,3000000",
-        "trunc:100000,0,100000",
+        "trunc:100000,0,100000", "trunc:1,0," + ONES, "grassmann:" + ONES,
+        "trunc:1,99999999999999999999,1", "trunc:99999999999999999999,0,1", "trunc:١,0,٣",
     ])
     def test_huge_ambient_shape(self, spec, capsys):
         self.fails_cleanly(["algebra", "--spec", spec], capsys)
@@ -363,12 +396,31 @@ class TestMalformedInput:
     def test_oversized_truncation_fails_before_enumerating(self, capsys):
         self.fails_cleanly(["algebra", "--spec", "trunc:10,10,20"], capsys)
 
+    # besides non-finite scalars: numbers and indices that the readers refuse
+    # and powers that the power bound refuses, each without doing the work
     @pytest.mark.parametrize("args", [
         ["tangent", "--field", "real", "--base", "1e999", "--vE", "1", "--section", "x1"],
         ["eval", "--field", "real", "--algebra", "trunc:1,0,3", "--point", "x1=1e999+t1",
          "--section", "x1"],
         ["tangent", "--field", "complex", "--base", "nan", "--vE", "1", "--section", "x1^2"],
-    ], ids=["real-overflow-base", "real-overflow-point", "complex-nan-base"])
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=2+t1", "--section", "x1^100000000"],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=1+t1", "--section", "23/0*x1"],
+        ["tangent", "--base", "1", "--vE", "1", "--section", "1e308^3"],
+        ["eval", "--algebra", "grassmann:2", "--point", "x1=2, th1=z1, th999999999999999999992=z2",
+         "--section", "x1"],
+        ["tangent", "--base", "1,2", "--vE", "1,0", "--section", "x1*x2^99999999999999999999"],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=1+t" + ONES, "--section", "x1"],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=1+t1", "--section", "x" + ONES],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=1+t1", "--section", "x1^" + ONES],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=1+1e10000000", "--section", "x1"],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x1=1+1e999", "--section", "x1*x1*x1*x1*x1"],
+        ["tangent", "--base", "1_0", "--vE", "1", "--section", "x1"],
+        ["eval", "--algebra", "trunc:1,0,3", "--point", "x١=2", "--section", "x1"],
+        ["eval", "--field", "real", "--algebra", "dual", "--point", "x1=1", "--section", "1e999*x1"],
+    ], ids=["real-overflow-base", "real-overflow-point", "complex-nan-base", "a-exact-power",
+            "b-zero-denominator", "c-float-power", "d-point-index", "f-exponent",
+            "generator-digits", "coordinate-digits", "exponent-digits", "decimal-exponent",
+            "a-unwritable-product", "underscore", "non-ascii-index", "real-overflow-section"])
     def test_non_finite_scalar(self, args, capsys):
         self.fails_cleanly(args, capsys)
 
@@ -383,7 +435,11 @@ class TestMalformedInput:
         {"field": "rational", "l": 0, "s": 3, "ideal": []},
         {"field": "rational", "k": 1, "l": 0, "s": 3, "ideal": ["t1^2"]},
         {"field": "rational", "k": "1", "l": 0, "s": 3, "ideal": []},
-    ], ids=["missing-k", "string-ideal-entry", "string-k"])
+        {"field": "rational", "k": 1, "l": 0, "s": 3, "ideal": [{"t" + "1" * 5000: "1"}]},
+        {"field": "rational", "k": 1, "l": 0, "s": 3, "ideal": [{"t1^" + "1" * 5000: "1"}]},
+        {"field": "rational", "k": 1, "l": 0, "s": 3, "ideal": [{"t1^2": "1" * 5000}]},
+    ], ids=["missing-k", "string-ideal-entry", "string-k", "g-key-index-digits",
+            "key-power-digits", "scalar-digits"])
     def test_workspace_malformed_algebra(self, algebra, tmp_path, capsys):
         path = tmp_path / "ws.json"
         path.write_text(json.dumps({"schema": 1, "algebras": {"q": algebra}}))
@@ -449,3 +505,78 @@ def test_selftest_jobs_are_clamped(monkeypatch):
         results = battery.run_all(seed=1, scale=0.001, jobs=jobs)
         assert len(results) == n_suites
         assert requested == ([] if want is None else [want])
+
+
+# -- an in-process fuzzer over the documented invocations -----------------------
+
+# one digit run (a number, an index, a size) is replaced by one of these
+EXTREMES = ["0", "1" + "0" * 20, "1" * 5001, "1e308", "1e10000000", "23/0", "-0.0", "١",
+            "1_0", ""]
+
+SERIES = {"source": [1, 0], "target": [1, 0], "order": 2,
+          "slots": [[{"nu": [0], "J": [], "expr": "0"}, {"nu": [1], "J": [], "expr": "1"},
+                     {"nu": [2], "J": [], "expr": "1"}]]}
+
+
+def fuzzed_invocations(series_path):
+    """The calls of the CI workflow and the README, without ``selftest``,
+    whose ``--jobs`` starts a pool."""
+    return [
+        EVAL_ARGS,
+        TANGENT_ARGS,
+        ["algebra", "--spec", "trunc:1,1,3"],
+        ["algebra", "--spec", "quot:trunc:2,2,4;t1^2-t2*z1*z2;t1*t2"],
+        ["algebra", "--field", "real", "--spec", "tensor:trunc:1,1,3,dual"],
+        ["algebra", "--field", "real", "--spec",
+         "tensor:quot:trunc:2,1,8;-4/3*t2^2-7/9*t1*t2-3/5*t2^3,trunc:1,0,3"],
+        ["check-trans", "--algebra", "quot:trunc:2,1,4;t1^2-t2^3;t1*t2*z1", "--even-part",
+         "trunc:1,0,3", "--coords", "x1=1+t1+t3, x2=2+t2, th1=z1", "--section",
+         "x1^3*theta1 + x2^2*x1"],
+        ["algebra", "--spec", "grassmann:100000000"],
+        ["algebra", "--field", "complex", "--spec", "quot:trunc:2,2,4;t1^2-t2*z1*z2;t1*t2"],
+        ["check-nat", "--series", series_path, "--points", "1;0.5", "--tol", "1e-9"],
+        ["eval", "--algebra", "trunc:1,2,4", "--point", "x1=1+t1, th1=z1, th2=z2", "--section",
+         "inv(1+x1^2)*x1^3 - 3/2*theta1*theta2 + (x1-1)^2"],
+        ["tangent", "--field", "complex", "--base", "1+2j,0.5", "--vE", "1,0", "--vO", "1",
+         "--section", "x1*x2^2+theta1*x1"],
+        ["dist", "--base", "1", "--order", "2", "--coeffs",
+         '[{"nu":[2],"a":"1/2"},{"nu":[1],"a":3}]', "--section", "x1^3"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def series_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "series.json"
+    path.write_text(json.dumps(SERIES))
+    return str(path)
+
+
+def test_mutated_invocations_end_in_one_line(series_path):
+    """Every call with one digit run replaced by an extreme exits 0, 1 or 2
+    within 2 s, with no traceback and exactly one ``error:`` line on exit 1."""
+    from superweil import cli
+
+    invocations = fuzzed_invocations(series_path)
+    spots = [(k, i, m.span()) for k, args in enumerate(invocations)
+             for i, arg in enumerate(args) for m in re.finditer(r"\d+", arg)]
+
+    # derandomized, and enough examples to reach every spot and extreme
+    @settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+    @given(st.sampled_from(spots), st.sampled_from(EXTREMES))
+    def check(spot, extreme):
+        k, i, (lo, hi) = spot
+        args = list(invocations[k])
+        args[i] = args[i][:lo] + extreme + args[i][hi:]
+        out, err = io.StringIO(), io.StringIO()
+        with deadline(2), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (args, code, err)
+        assert "Traceback" not in err, (args, err)
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, (args, err)
+
+    check()

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from superweil import (
+    EvaluationError,
     ParseError,
     SuperDomain,
     TangentVector,
@@ -257,6 +258,13 @@ class TestWorkspace:
         path = tmp_path / "ws.json"
         ws.save(path)
         assert Workspace.load(path) == ws
+
+    def test_box_end_past_the_written_digits_is_refused(self, tmp_path):
+        ws = Workspace()
+        ws.domains["U"] = SuperDomain(1, 0, box=((F(1, 3**10000), F(1)),))
+        with pytest.raises(EvaluationError, match="4300 digits"):
+            ws.save(tmp_path / "ws.json")
+        assert not (tmp_path / "ws.json").exists()
 
     @pytest.mark.parametrize("end", ["1//3", "one", "1/0", ""])
     def test_malformed_box_end_string(self, end):
