@@ -10,6 +10,12 @@ generators before odd);
 the non-pivot monomials form the quotient basis and every product reduces to a
 coefficient vector over it.
 
+Each ambient shape also packs its monomials into integer codes: the even
+exponents in fields of (2s-1).bit_length() bits above the l odd bits.  A
+product of two monomials of total degree < s then has the code c1 + c2 | o1 | o2
+with no carry between fields (Monagan & Pearce, CASC 2007), so the product
+table is filled from int arithmetic and one dict lookup per entry.
+
 Every such algebra splits as scalars plus a nilpotent graded ideal, which is
 what makes truncated-Taylor evaluation of smooth functions terminate.
 """
@@ -19,7 +25,6 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from operator import add
 from typing import NamedTuple
 
 from .errors import AlgebraError, ParityError
@@ -75,14 +80,6 @@ def merge_sign(mask_a, mask_b):
     return -1 if count & 1 else 1
 
 
-def mul_monomials(a, b):
-    """(sign, product) in the free supercommutative algebra; (0, None) if a z repeats."""
-    if a.odd & b.odd:
-        return 0, None
-    nu = tuple(map(add, a.nu, b.nu))
-    return merge_sign(a.odd, b.odd), Monomial(nu, a.odd | b.odd)
-
-
 def _sort_key(m, l):
     bits = tuple((m.odd >> j) & 1 for j in range(l))
     return (m.degree(), m.nu, bits)
@@ -124,10 +121,21 @@ def _ambient_monomials(k, l, s):
 
 @lru_cache(maxsize=64)  # distinct (k, l, s) shapes kept; the battery meets 38
 def _ambient(k, l, s):
-    """(basis tuple, {monomial: index}) of the ambient of shape (k, l, s),
-    shared by every algebra of that shape and never written."""
+    """(basis tuple, {monomial: index}, {monomial: (code, odd, degree)},
+    {code | odd: monomial}) of the ambient of shape (k, l, s), shared by every
+    algebra of that shape and never written.  A code holds the even exponents
+    in fields of w bits, shifted left by l; an exponent sum of two ambient
+    monomials is at most 2s - 2, so w = (2s-1).bit_length() bits hold it."""
     basis = tuple(_ambient_monomials(k, l, s))
-    return basis, {m: i for i, m in enumerate(basis)}
+    w = (2 * s - 1).bit_length()
+    codes = {}
+    for m in basis:
+        code = 0
+        for e in m.nu:
+            code = code << w | e
+        codes[m] = (code << l, m.odd, m.degree())
+    by_code = {c | o: m for m, (c, o, _) in codes.items()}
+    return basis, {m: i for i, m in enumerate(basis)}, codes, by_code
 
 
 def exponents_up_to(k, budget):
@@ -177,7 +185,7 @@ class SuperWeilAlgebra:
             # at s = 1 the ambient has dimension 1 whatever k and l are, but
             # the enumeration still walks every generator
             raise AlgebraError(f"more generators than the ambient cap {MAX_AMBIENT_DIM}")
-        self.ambient_basis, self._ambient_index = _ambient(k, l, s)
+        self.ambient_basis, self._ambient_index, self._codes, self._by_code = _ambient(k, l, s)
         ideal_rows, pivots = rref_desc(ideal_rows, field)
         self.ideal_rows = tuple(tuple(sorted(r.items())) for r in ideal_rows)
         self.pivot_cols = tuple(pivots)
@@ -197,7 +205,7 @@ class SuperWeilAlgebra:
         )
         self.basis_index = {m: i for i, m in enumerate(self.quotient_basis)}
         # the product table: _products[m1][m2] is _product_entry(m1, m2),
-        # filled on first use
+        # filled on first use from the shape's monomial codes
         self._products = {}
         self._signature = (field.name, k, l, s, self.ideal_rows)
 
@@ -249,12 +257,13 @@ class SuperWeilAlgebra:
     # -- elements ---------------------------------------------------------
 
     def element(self, coeffs):
+        coerce, basis_index = self.field.coerce, self.basis_index
         clean = {}
         for m, c in coeffs.items():
-            c = self.field.coerce(c)
-            if m not in self.basis_index:
+            c = coerce(c)
+            if m not in basis_index:
                 raise AlgebraError(f"monomial {self.monomial_name(m)} is not in the quotient basis")
-            if not self.field.is_zero(c):
+            if c:  # a scalar is zero exactly when it is falsy, see Field.is_zero
                 clean[m] = c
         return AlgebraElement(self, clean)
 
@@ -300,15 +309,19 @@ class SuperWeilAlgebra:
         return self._reduction[m]
 
     def _product_entry(self, m1, m2):
-        """m1 * m2 as a product-table entry, a tuple of (quotient monomial,
-        coefficient) pairs: () when it is zero, a _Unit when it is +-(one basis
-        monomial), else its signed normal form."""
-        sign, prod = mul_monomials(m1, m2)
+        """m1 * m2 of two ambient monomials as a product-table entry, a tuple
+        of (quotient monomial, coefficient) pairs: () when it is zero, a _Unit
+        when it is +-(one basis monomial), else its signed normal form."""
+        c1, o1, d1 = self._codes[m1]
+        c2, o2, d2 = self._codes[m2]
+        if o1 & o2 or d1 + d2 >= self.s:  # a z repeats, or past the truncation
+            return ()
+        prod = self._by_code[c1 + c2 | o1 | o2]
+        sign = merge_sign(o1, o2) if o1 and o2 else 1
         if prod in self.basis_index:
             return _Unit(((prod, sign),))
-        # an ambient monomial is a basis monomial or a pivot; anything else
-        # repeats a z (prod is None) or has degree >= s
-        nf = self._reduction.get(prod)
+        # an ambient monomial is a basis monomial or a pivot
+        nf = self._reduction[prod]
         if not nf:
             return ()
         return tuple(nf.items()) if sign == 1 else tuple((m, -c) for m, c in nf.items())
@@ -320,6 +333,15 @@ class SuperWeilAlgebra:
 
     def is_purely_even(self):
         return all(m.parity() == 0 for m in self.quotient_basis)
+
+    @cached_property
+    def _bases_by_parity(self):
+        """The quotient basis filtered as ``battery.rand_element`` draws from
+        it: None (all of it), "nil" (all but 1, which comes first), EVEN, ODD."""
+        basis = self.quotient_basis
+        even = tuple(m for m in basis if not m.parity())
+        odd = tuple(m for m in basis if m.parity())
+        return {None: basis, "nil": basis[1:], EVEN: even, ODD: odd}
 
     @cached_property
     def _power_dims(self):
@@ -385,7 +407,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             other = self.algebra.scalar(other)
         self._check_same(other)
-        is_zero = self.algebra.field.is_zero
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             old = out.get(m)
@@ -393,7 +414,7 @@ class AlgebraElement:
                 out[m] = c
             else:
                 v = old + c
-                if is_zero(v):
+                if not v:
                     del out[m]
                 else:
                     out[m] = v
@@ -417,12 +438,12 @@ class AlgebraElement:
             return self.scale(other)
         self._check_same(other)
         algebra = self.algebra
-        is_zero = algebra.field.is_zero
         products = algebra._products
         right = other.coeffs.items()
         out = {}
         # a zero entry costs no coefficient arithmetic, a unit entry one
-        # product and no multiply by +-1; a slot's first term is stored as is
+        # product and no multiply by +-1; a slot's first term is stored as is,
+        # and a sum is zero exactly when it is falsy (see Field.is_zero)
         for m1, c1 in self.coeffs.items():
             row = products.get(m1)
             if row is None:
@@ -433,20 +454,17 @@ class AlgebraElement:
                     entry = row[m2] = algebra._product_entry(m1, m2)
                 if not entry:
                     continue
-                if entry.__class__ is _Unit:
-                    ((m, sign),) = entry
-                    terms = ((m, c1 * c2 if sign == 1 else -(c1 * c2)),)
-                else:
-                    c12 = c1 * c2
-                    terms = [(m, c12 * c) for m, c in entry]
-                for m, v in terms:
+                c12 = c1 * c2
+                unit = entry.__class__ is _Unit
+                for m, c in entry:
+                    v = (c12 if c == 1 else -c12) if unit else c12 * c
                     old = out.get(m)
                     if old is not None:
                         v = old + v
-                        if is_zero(v):
+                        if not v:
                             del out[m]
                             continue
-                    elif is_zero(v):
+                    elif not v:
                         continue
                     out[m] = v
         return AlgebraElement(algebra, out)

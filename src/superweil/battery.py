@@ -12,11 +12,13 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import expr as ex
 from .algebra import (
     EVEN,
     ODD,
+    AlgebraElement,
     compose_morphisms,
     identity_morphism,
     join,
@@ -69,28 +71,35 @@ class SuiteResult:
 # -- random generators ------------------------------------------------------------
 
 
+# The draws below pick from precomputed tuples and ranges with rng.choice,
+# which makes the same _randbelow(n) calls as the rng.randint they replace:
+# the random stream, and so every suite's cases, stay as they were.
+
+
+@lru_cache(maxsize=16)
+def _fraction_rows(span):
+    """Fraction(n, d) for n in -span..span (one row each) and d in 1..3."""
+    return tuple(tuple(Fraction(n, d) for d in (1, 2, 3)) for n in range(-span, span + 1))
+
+
 def rand_fraction(rng, span=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+    return rng.choice(rng.choice(_fraction_rows(span)))
 
 
 def rand_element(rng, algebra, parity=None, max_terms=3, span=3):
     """Random element; optionally restricted to one parity or to nilpotents."""
-    candidates = [
-        m
-        for m in algebra.quotient_basis
-        if parity is None
-        or (parity == "nil" and not m.is_one())
-        or (parity in (EVEN, ODD) and m.parity() == (0 if parity == EVEN else 1))
-    ]
+    candidates = algebra._bases_by_parity.get(parity, ())
     coeffs = {}
     if candidates:
-        for _ in range(rng.randint(1, max_terms)):
+        field = algebra.field
+        for _ in range(rng.choice(range(1, max_terms + 1))):
             m = rng.choice(candidates)
-            if algebra.field.exact:
+            if field.exact:
                 coeffs[m] = rand_fraction(rng, span)
             else:
-                coeffs[m] = rng.uniform(-2.0, 2.0)
-    return algebra.element(coeffs)
+                coeffs[m] = field.coerce(rng.uniform(-2.0, 2.0))
+    # a repeated monomial keeps its first slot, so zeros go only at the end
+    return AlgebraElement(algebra, {m: c for m, c in coeffs.items() if c})
 
 
 def constructor_families(field=RATIONAL):

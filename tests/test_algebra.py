@@ -33,10 +33,11 @@ from superweil import algebra as algebra_module
 from superweil.algebra import (
     Monomial,
     SuperWeilAlgebra,
+    _Unit,
     _ambient,
     _ambient_monomials,
     _monomials_of_degree,
-    mul_monomials,
+    merge_sign,
 )
 from superweil.battery import constructor_families
 from superweil.cli import parse_algebra_spec
@@ -45,6 +46,15 @@ from superweil.serialize import algebra_from_json
 
 def names(algebra):
     return [algebra.monomial_name(m) for m in algebra.quotient_basis]
+
+
+def mul_monomials(a, b):
+    """(sign, product) in the free supercommutative algebra; (0, None) if a z
+    repeats: the reference that the packed monomial codes must agree with."""
+    if a.odd & b.odd:
+        return 0, None
+    nu = tuple(x + y for x, y in zip(a.nu, b.nu))
+    return merge_sign(a.odd, b.odd), Monomial(nu, a.odd | b.odd)
 
 
 class TestConstructors:
@@ -156,10 +166,29 @@ class TestAmbientCache:
         finally:
             sys.setswitchinterval(interval)
         for shape, *bases in zip(shapes, *built):
-            basis, index = _ambient(*shape)
+            basis, index, codes, by_code = _ambient(*shape)
             assert all(b == basis for b in bases)
             assert list(basis) == _ambient_monomials(*shape)
             assert [index[m] for m in basis] == list(range(len(basis)))
+            assert {c | o: m for m, (c, o, _) in codes.items()} == by_code
+
+    @pytest.mark.parametrize("shape", [(1, 0, 1), (1, 0, 10), (0, 4, 5), (3, 3, 4), (2, 1, 6)])
+    def test_codes_add_below_the_truncation(self, shape):
+        basis, _, codes, by_code = _ambient(*shape)
+        s = shape[2]
+        assert len(by_code) == len(basis)
+        for m in basis:
+            code, odd, degree = codes[m]
+            assert (odd, degree) == (m.odd, m.degree())
+            assert by_code[code | odd] is m
+        for m1 in basis:
+            for m2 in basis:
+                sign, prod = mul_monomials(m1, m2)
+                if prod is None or prod.degree() >= s:
+                    continue
+                (c1, o1, _), (c2, o2, _) = codes[m1], codes[m2]
+                assert c1 + c2 == codes[prod][0]
+                assert by_code[c1 + c2 | o1 | o2] == prod
 
 
 class TestQuotient:
@@ -830,6 +859,39 @@ def test_products_match_the_reference_product(family, field):
         # term products that underflow to zero leave no zero coefficient
         tiny = algebra.element({m: field.coerce(1e-200) for m in basis[:3]})
         assert (tiny * tiny).coeffs == _reference_product(tiny, tiny) == {}
+
+
+def _reference_entry(algebra, m1, m2):
+    """The product-table entry of m1 * m2 from mul_monomials and the normal form."""
+    sign, prod = mul_monomials(m1, m2)
+    nf = {} if prod is None else algebra._normal_form(prod)
+    if not nf:
+        return ()
+    if prod in algebra.basis_index:
+        return _Unit(((prod, sign),))
+    return tuple((m, c if sign == 1 else -c) for m, c in nf.items())
+
+
+@pytest.mark.parametrize("field", [RATIONAL, REAL, COMPLEX], ids=lambda f: f.name)
+@pytest.mark.parametrize("family", ["trunc-1-0-1", "trunc-1-0-10", "grassmann", "trunc-3-3-4",
+                                    "quotient", "tensor"])
+def test_every_product_entry_matches_the_reference(family, field):
+    builds = {
+        "trunc-1-0-1": lambda: make_truncated(1, 0, 1, field),  # s = 1
+        "trunc-1-0-10": lambda: make_truncated(1, 0, 10, field),  # the widest code field
+        "grassmann": lambda: make_grassmann(4, field),  # k = 0
+        "trunc-3-3-4": lambda: make_truncated(3, 3, 4, field),
+        "quotient": lambda: _product_families(field)["quotient"],  # non-monomial
+        "tensor": lambda: _product_families(field)["tensor"],  # with a quotient factor
+    }
+    algebra = builds[family]()
+    # every ambient pair, pivots included: serialize._check_spans_ideal and
+    # _image_magnitudes ask for those too
+    basis = algebra.ambient_basis
+    for m1 in basis:
+        for m2 in basis:
+            got, want = algebra._product_entry(m1, m2), _reference_entry(algebra, m1, m2)
+            assert got == want and got.__class__ is want.__class__, (m1, m2)
 
 
 def test_the_product_table_fills_one_entry_per_new_pair():

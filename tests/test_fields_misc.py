@@ -1,6 +1,7 @@
 """Field instantiations, expression text in JSON, size caps, cross-algebra errors."""
 
 import cmath
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,15 @@ from superweil import (
 )
 from superweil import expr as ex
 from superweil.expr import parse_expr, to_text
-from superweil.fields import COMPLEX, RATIONAL, REAL, analytic_derivative, field_by_name, infer_field
+from superweil.fields import (
+    COMPLEX,
+    RATIONAL,
+    REAL,
+    Field,
+    analytic_derivative,
+    field_by_name,
+    infer_field,
+)
 
 
 class TestComplexField:
@@ -80,6 +89,31 @@ class TestFieldHelpers:
     def test_reciprocal_exact_on_rationals(self):
         d = analytic_derivative("reciprocal", 2, F(2), RATIONAL.function_value)
         assert d == F(2, 8) and type(d) is F
+
+
+class TestZeroTest:
+    """The product kernel, element() and scale test a scalar for zero by its
+    truth value; that is Field.is_zero, and no field may change it."""
+
+    def test_no_field_overrides_is_zero(self):
+        fields, todo = [], [Field]
+        while todo:
+            fields.append(todo.pop())
+            todo.extend(fields[-1].__subclasses__())
+        assert {type(f) for f in (RATIONAL, REAL, COMPLEX)} <= set(fields)
+        assert all("is_zero" not in vars(cls) for cls in fields[1:])
+
+    @pytest.mark.parametrize("field, zeros, non_zeros", [
+        (RATIONAL, [F(0), F(-0, 3)], [F(1), F(-1, 10**30)]),
+        (REAL, [0.0, -0.0], [5e-324, -1e-300, math.inf, math.nan]),
+        (COMPLEX, [0j, complex(-0.0, -0.0), complex(0.0, -0.0)],
+         [5e-324j, complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)]),
+    ], ids=["rational", "real", "complex"])
+    def test_zero_is_exactly_falsy(self, field, zeros, non_zeros):
+        for v in [field.zero, field.coerce(0), field.coerce(-0.0)] + zeros:
+            assert not v and field.is_zero(v)
+        for v in [field.one] + non_zeros:
+            assert v and not field.is_zero(v)
 
 
 class TestExprJson:

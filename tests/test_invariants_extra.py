@@ -21,11 +21,17 @@ from superweil import (
     section,
     tangent_to_point,
 )
-from superweil.algebra import Monomial
-from superweil.battery import rand_polynomial_expr, rand_section
+from superweil.algebra import EVEN, ODD, Monomial
+from superweil.battery import (
+    constructor_families,
+    rand_element,
+    rand_fraction,
+    rand_polynomial_expr,
+    rand_section,
+)
 from superweil.cli import parse_element, parse_point_spec
 from superweil.expr import parse_expr
-from superweil.fields import REAL
+from superweil.fields import RATIONAL, REAL
 from superweil.serialize import coeff_map_from_json, coeff_map_to_json
 
 
@@ -191,3 +197,56 @@ def test_eval_homomorphism_random_grassmann(seed):
     from superweil import expr as ex
 
     assert eval_ast(x, Section(U, ex.Mul(s.expr, t.expr))) == eval_ast(x, s) * eval_ast(x, t)
+
+
+# -- the battery's draws, pinned to their randint formulation -----------------------
+
+
+def _randint_fraction(rng, span):
+    return F(rng.randint(-span, span), rng.randint(1, 3))
+
+
+def _randint_element(rng, algebra, parity, max_terms, span):
+    candidates = [
+        m
+        for m in algebra.quotient_basis
+        if parity is None
+        or (parity == "nil" and not m.is_one())
+        or (parity in (EVEN, ODD) and m.parity() == (0 if parity == EVEN else 1))
+    ]
+    coeffs = {}
+    if candidates:
+        for _ in range(rng.randint(1, max_terms)):
+            m = rng.choice(candidates)
+            if algebra.field.exact:
+                coeffs[m] = _randint_fraction(rng, span)
+            else:
+                coeffs[m] = rng.uniform(-2.0, 2.0)
+    return algebra.element(coeffs)
+
+
+@pytest.mark.parametrize("span", [0, 1, 2, 3, 4, 9])
+def test_rand_fraction_keeps_the_randint_stream(span):
+    new, old = random.Random(span), random.Random(span)
+    for _ in range(10_000):
+        got, want = rand_fraction(new, span), _randint_fraction(old, span)
+        assert got == want and type(got) is F
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("field, span", [(RATIONAL, 2), (RATIONAL, 3), (RATIONAL, 4), (REAL, 3)],
+                         ids=["rational-2", "rational-3", "rational-4", "real"])
+def test_rand_element_keeps_the_randint_stream(field, span):
+    # an even-only algebra leaves the ODD draw no candidate
+    algebras = list(constructor_families(field).values()) + [make_truncated(2, 0, 3, field)]
+    new, old = random.Random(span), random.Random(span)
+    for i in range(12_000):
+        algebra = algebras[i % len(algebras)]
+        parity = (None, "nil", EVEN, ODD)[i // len(algebras) % 4]
+        args = (algebra, parity, 1 + i % 4, span)
+        got, want = rand_element(new, *args), _randint_element(old, *args)
+        # the same monomials in the same order, with the same scalars, and
+        # a zero draw dropped as element() drops it
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(c) is type(field.one) for c in got.coeffs.values())
+    assert new.getstate() == old.getstate()
